@@ -109,8 +109,8 @@ inline std::vector<std::uint32_t> fig12ScaleNodes() {
 }
 
 /// Config-tweak hook for the scale sweep: thousands of simulated nodes on
-/// one host need tiny per-node heaps/queues and the cooperative runtime
-/// pool instead of 2N dedicated threads (DESIGN.md §14). Mirrors
+/// one host need tiny per-node heaps/queues and a two-thread runtime pool
+/// rather than one thread per runtime unit (DESIGN.md §14). Mirrors
 /// tests/test_scale.cpp so the bench measures the configuration the tests
 /// prove correct.
 inline rt::ClusterConfig scaleBenchCluster(std::uint32_t nodes) {

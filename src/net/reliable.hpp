@@ -487,8 +487,8 @@ class ReliableFabric : public Fabric {
 
   /// Excises every link touching `n`: breakers open, eras bump, unacked
   /// traffic settles against the receiver's truth and the remainder is
-  /// dead-lettered. `receiverStopped` says node n's network thread has been
-  /// stopped and joined (crashNode): its ready queue is discarded and
+  /// dead-lettered. `receiverStopped` says node n's network unit has been
+  /// parked (crashNode): its ready queue is discarded and
   /// settlement uses the *resolved* level; a merely unreachable node (trip
   /// path) still runs its network thread, which will drain what was already
   /// admitted, so settlement uses the *delivered* level.
@@ -825,7 +825,7 @@ class ReliableFabric : public Fabric {
       dlq_->push(s, d, std::move(batch));
   }
 
-  /// Discards node n's ready queue (crashNode: its network thread is gone;
+  /// Discards node n's ready queue (crashNode: its network unit is parked;
   /// the sender-side copies of these batches were just dead-lettered).
   void clearReady(std::uint32_t n) {
     ReadyQueue& rq = ready_[n];

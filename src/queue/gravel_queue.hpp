@@ -207,37 +207,37 @@ class GravelQueue {
     return true;
   }
 
-  /// Non-blocking variant of acquireRead for cooperative (pooled) drivers:
-  /// returns false immediately when no slot has been claimed-and-unread,
-  /// instead of spinning for new work. A true return still waits for the
-  /// claimed slot's publish (bounded: the producer already claimed this
-  /// round, so it publishes in finite time — same liveness argument as
-  /// acquireRead), so the caller gets the identical post-condition.
+  /// Non-blocking variant of acquireRead for pumping threads (runtime pool):
+  /// returns false immediately unless the next slot is published — it spins
+  /// neither on new work nor on a producer that reserved a slot and is
+  /// still writing its columns (a work-group reserves before its lanes
+  /// write and meet at the barrier, so that window is long on the SIMT
+  /// engine). Checking before the claim is safe: only a slot's claimant
+  /// releases it, so a slot still published when our CAS wins stays
+  /// published, and the caller gets acquireRead's post-condition.
   bool tryAcquireRead(SlotRef& out) {
     std::uint64_t claimed;
+    Slot* s;
     for (;;) {
       claimed = readIdx_.load(std::memory_order_relaxed);
       const std::uint64_t written = writeIdx_.load(std::memory_order_acquire);
       if (claimed >= written) return false;
+      s = &slots_[claimed % slotCount_];
+      // The acquire on full pairs with publish()'s release store and makes
+      // the producer's payload and count visible before the caller decodes.
+      // pairs-with: gq.slot-round, gq.slot-full
+      if (s->round.load(std::memory_order_acquire) != claimed / slotCount_ ||
+          !s->full.load(std::memory_order_acquire))
+        return false;
       if (readIdx_.compare_exchange_weak(claimed, claimed + 1,
                                          std::memory_order_relaxed,
-                                         std::memory_order_relaxed)) {
-        bumpAtomics();
+                                         std::memory_order_relaxed))
         break;
-      }
-      // lost the race; retry
     }
-    Slot& s = slots_[claimed % slotCount_];
-    const std::uint64_t ticket = claimed / slotCount_;
-    spinUntil(
-        [&] {
-          return s.round.load(std::memory_order_acquire) == ticket &&  // pairs-with: gq.slot-round
-                 s.full.load(std::memory_order_acquire);  // pairs-with: gq.slot-full
-        },
-        {});
+    bumpAtomics();
     out.slot = static_cast<std::uint32_t>(claimed % slotCount_);
-    out.round = ticket;
-    out.count = s.count.load(std::memory_order_relaxed);
+    out.round = claimed / slotCount_;
+    out.count = s->count.load(std::memory_order_relaxed);
     return true;
   }
 

@@ -1,4 +1,4 @@
-// Gravel's aggregator (paper §3.4, §6): CPU threads that drain the GPU's
+// Gravel's aggregator (paper §3.4, §6): CPU work that drains the GPU's
 // producer/consumer queue and repack messages into per-destination ("per-
 // node") queues, which are handed to the fabric once full or once idle past
 // the flush timeout. This is the piece that turns many small GPU-initiated
@@ -10,18 +10,14 @@
 // destination per slot — not one per message. Timeout checking is folded
 // into the busy path on a slot-count cadence, so a lightly-trafficked
 // destination's partial buffer is flushed within a bounded delay even when
-// the queue never goes idle (the paper's 125 us rule, previously only
-// honoured on the idle path).
+// the queue never goes idle (the paper's 125 us rule).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "common/atomic.hpp"
-#include "common/backoff.hpp"
 #include "common/stats.hpp"
 #include "net/fabric.hpp"
 #include "obs/profiler.hpp"
@@ -29,6 +25,7 @@
 #include "queue/gravel_queue.hpp"
 #include "runtime/config.hpp"
 #include "runtime/message.hpp"
+#include "runtime/park_gate.hpp"
 #include "runtime/slot_router.hpp"
 
 namespace gravel::rt {
@@ -53,37 +50,12 @@ class Aggregator {
             },
             config.aggregator_shards) {}
 
-  ~Aggregator() { stop(); }
-
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;
 
-  void start(std::uint32_t threads) {
-    GRAVEL_CHECK_MSG(threads > 0, "aggregator needs at least one thread");
-    // Thread creation below establishes the happens-before to the workers.
-    stopped_.store(false, std::memory_order_relaxed);
-    for (std::uint32_t t = 0; t < threads; ++t)
-      workers_.emplace_back([this, t] {
-        const std::string name =
-            "agg." + std::to_string(self_) + "." + std::to_string(t);
-        tracer_.nameThread(name);
-        if (prof_ != nullptr) prof_->nameThread(name);
-        run();
-      });
-  }
-
-  void stop() {
-    // Release pairs with acquireRead's acquire load of `stopped` — the
-    // stopped-drain exit path depends on this edge (see gravel_queue.hpp).
-    stopped_.store(true, std::memory_order_release);  // pairs-with: aggregator.stopped
-    for (auto& w : workers_)
-      if (w.joinable()) w.join();
-    workers_.clear();
-  }
-
   /// Number of queue slots fully routed into per-node buffers — the quiet
   /// protocol compares this with the queue's reservation count, so this is
-  /// the PROTOCOL accessor: its acquire pairs with the workers' release
+  /// the PROTOCOL accessor: its acquire pairs with the pumping threads' release
   /// adds, making every routed message's buffer append visible to a caller
   /// that observes the count. Stats/ratio readers should use
   /// slotsProcessedStat() instead.
@@ -93,7 +65,7 @@ class Aggregator {
   }
 
   /// STATS accessor: relaxed read of the same counter. A monotonic
-  /// approximation — it can lag concurrent workers and carries no ordering,
+  /// approximation — it can lag concurrent pumps and carries no ordering,
   /// which is fine for gauges, metrics and ratios (pollFraction) and keeps
   /// the concurrency lint's protocol/stats distinction auditable.
   std::uint64_t slotsProcessedStat() const noexcept {
@@ -101,7 +73,7 @@ class Aggregator {
   }
 
   /// Force every partially-filled per-node queue onto the wire (quiet
-  /// protocol / end of kernel). Thread-safe against the workers.
+  /// protocol / end of kernel). Thread-safe against concurrent pumps.
   void flushAll() { router_.flushAll(); }
 
   /// Messages repacked so far, by destination kind.
@@ -109,7 +81,7 @@ class Aggregator {
     return messagesRouted_.get(std::memory_order_relaxed);
   }
 
-  /// Idle poll iterations (spins of acquireRead with nothing to consume).
+  /// Idle polls: pump() calls that found no published slot.
   /// §8.1 observes the paper's aggregator polls 65% of the time even at 8
   /// nodes — the motivation for a hardware aggregator. The poll *fraction*
   /// here is pollCount / (pollCount + slotsProcessed).
@@ -164,96 +136,66 @@ class Aggregator {
   /// Bytes resident in per-destination buffers right now.
   std::size_t residentBufferBytes() { return router_.residentBufferBytes(); }
 
-  /// High-water mark of one routing thread's staging scratch, sampled on
-  /// the timeout cadence. The scale tests assert this does not grow with
+  /// High-water mark of one staging's scratch, sampled by every pump()
+  /// that routed work. The scale tests assert this does not grow with
   /// the node count (it is O(lanes) by construction).
   std::size_t stagingBytesPeak() const noexcept {
     return stagingPeak_.load(std::memory_order_relaxed);
   }
 
-  // --- cooperative (pooled) driving -------------------------------------
+  // --- pumped driving ------------------------------------------------------
   //
-  // With ClusterConfig::runtime_threads > 0 the cluster drives aggregators
-  // from a small shared pool instead of dedicated per-node threads (a
-  // 4096-node cluster cannot spawn 8192 OS threads). Each pooled node has
-  // exactly ONE driver at a time, so pump() keeps its cadence counter as a
-  // plain member — same single-consumer contract as run().
+  // The cluster's runtime pool drives every aggregator through pump() and
+  // checkTimeouts() (DESIGN.md §14): one pool unit per aggregator thread,
+  // each with its own staging. Several units may pump one aggregator at
+  // once; all per-thread state lives in the staging.
 
-  /// Make the per-driver staging scratch for this aggregator's queue.
+  /// Make the per-thread staging scratch for this aggregator's queue.
   SlotRouter::Staging makeStaging() const {
     return SlotRouter::Staging(fabric_.nodes(), queue_.lanes(),
                                stagingReserve_);
   }
 
   /// Drain up to `maxSlots` ready slots without blocking; returns slots
-  /// routed. Zero means the queue had no published work.
+  /// routed. Zero means the queue had no published work, and counts one
+  /// idle poll (§8.1's poll fraction).
   std::uint32_t pump(SlotRouter::Staging& staging, std::uint32_t maxSlots) {
     GravelQueue::SlotRef ref;
     std::uint32_t done = 0;
     while (done < maxSlots && queue_.tryAcquireRead(ref)) {
       processSlot(ref, staging);
       ++done;
-      if (++pumpSinceTimeoutCheck_ >= timeoutCheckSlots_) {
-        pumpSinceTimeoutCheck_ = 0;
-        scannedCheckTimeouts();
+      // Busy-path timeout cadence: a unit that never idles still retires
+      // a quiet destination's partial buffer every timeoutCheckSlots_
+      // slots instead of starving it until the queue drains.
+      if (++staging.slotsSinceTimeoutCheck >= timeoutCheckSlots_) {
+        staging.slotsSinceTimeoutCheck = 0;
+        checkTimeouts();
       }
     }
     // Record the scratch high-water mark whenever this pump did work — a
-    // short pooled run may never reach the timeout cadence, and the peak is
-    // the scale sweep's staying-O(lanes) evidence (one relaxed CAS-max).
-    if (done > 0) noteStaging(staging);
+    // short run may never reach the timeout cadence, and the peak is the
+    // scale sweep's staying-O(lanes) evidence (one relaxed CAS-max).
+    if (done > 0)
+      noteStaging(staging);
+    else
+      polls_.add(1, std::memory_order_relaxed);
     return done;
   }
 
-  /// Timeout maintenance entry point for pooled drivers (time-based cadence
-  /// lives in the pool loop; dedicated threads keep their own cadence).
-  void checkTimeouts() { scannedCheckTimeouts(); }
-
- private:
-  /// Timer-wheel scan under its profiler region (every cadence path —
-  /// idle, busy, pooled — funnels through here).
-  void scannedCheckTimeouts() {
+  /// Retire per-destination buffers that sat past the flush timeout (the
+  /// paper's 125 us rule). The pool calls it on a time-based cadence.
+  void checkTimeouts() {
     obs::ScopedRegion scanRegion(prof_, obs::Region::kAggTimerScan);
     router_.checkTimeouts();
   }
 
-  void run() {
-    GravelQueue::SlotRef ref;
-    SlotRouter::Staging staging = makeStaging();
-    // Idle polls decay to short sleeps (paper's aggregator polls 65% of the
-    // time, §8.1 — no need to burn a core doing it) but stay well under the
-    // flush timeout so checkTimeouts() keeps its resolution.
-    Backoff backoff(std::chrono::microseconds(20));
-    const YieldFn idle = [this, &backoff, &staging] {
-      // While waiting for GPU work, retire buffers that sat past the
-      // timeout (the paper's 125 us rule, applied when the queue is idle so
-      // a 1-core host's scheduling gaps do not shred aggregation).
-      polls_.add(1, std::memory_order_relaxed);
-      scannedCheckTimeouts();
-      noteStaging(staging);
-      obs::ScopedRegion idleRegion(prof_, obs::Region::kIdle);
-      backoff.wait();
-    };
-    std::uint32_t slotsSinceTimeoutCheck = 0;
-    while (queue_.acquireRead(ref, stopped_, idle)) {
-      backoff.reset();
-      processSlot(ref, staging);
-      // Busy-path timeout cadence: under sustained load the idle YieldFn
-      // above never runs, so without this a single buffered message to a
-      // quiet destination would sit until the queue drains (timeout
-      // starvation). Every timeoutCheckSlots_ slots bounds that latency.
-      if (++slotsSinceTimeoutCheck >= timeoutCheckSlots_) {
-        slotsSinceTimeoutCheck = 0;
-        scannedCheckTimeouts();
-        noteStaging(staging);
-      }
-    }
-    // Producers are done and the queue is drained: final flush.
-    flushAll();
-  }
+  /// The park handshake the pool honours for every unit of this
+  /// aggregator (the watchdog test wedges an aggregator with it).
+  ParkGate& gate() noexcept { return gate_; }
 
-  /// Decode, trace, route and count one claimed slot (shared by the
-  /// dedicated-thread run() loop and the pooled pump()).
+ private:
+  /// Decode, trace, route and count one claimed slot.
   void processSlot(const GravelQueue::SlotRef& ref,
                    SlotRouter::Staging& staging) {
     obs::ScopedRegion slotRegion(prof_, obs::Region::kAggSlot);
@@ -320,8 +262,8 @@ class Aggregator {
 
   SlotRouter router_;
 
-  atomic<bool> stopped_{true};
-  // Sharded per worker thread: with aggregator_threads > 1 these are the
+  ParkGate gate_{/*parked=*/false};
+  // Sharded per pumping thread: with aggregator_threads > 1 these are the
   // hottest shared words on the stats path (one bump per slot / message /
   // poll), and unsharded they false-share a single line.
   ShardedCounter slotsProcessed_;
@@ -330,9 +272,6 @@ class Aggregator {
   ShardedCounter destsTouched_;
   /// Stats-only gauge (relaxed max); see noteStaging().
   atomic<std::size_t> stagingPeak_{0};
-  /// Plain: pump() has exactly one driver at a time (pool ownership).
-  std::uint32_t pumpSinceTimeoutCheck_ = 0;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace gravel::rt

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -139,7 +140,6 @@ Cluster::~Cluster() {
     dumpTimeSeries();
   }
   stopPool();
-  for (auto& n : nodes_) n->stopThreads();
   // Exit artifact for a profiled run, written after every instrumented
   // thread has joined so the accumulators are final.
   if (profiler_.enabled()) dumpProfile();
@@ -158,66 +158,94 @@ std::uint32_t Cluster::registerHandler(AmHandler handler) {
 
 void Cluster::ensureThreadsStarted() {
   if (threadsStarted_) return;
-  if (config_.runtime_threads > 0) {
-    // Cooperative pool (DESIGN.md §14): a 4096-node cluster cannot spawn
-    // 8192 dedicated aggregator/network threads, so a fixed pool pumps
-    // every node's runtime instead. validate() rejected the combinations
-    // (reliability) whose machinery needs the dedicated threads.
-    poolStop_.store(false, std::memory_order_relaxed);
-    const std::uint32_t threads =
-        std::min(config_.runtime_threads, config_.nodes);
-    pool_.reserve(threads);
-    for (std::uint32_t t = 0; t < threads; ++t)
-      pool_.emplace_back([this, t] { poolLoop(t); });
-  } else {
-    for (auto& n : nodes_) n->startThreads();
-  }
+  for (auto& n : nodes_) n->network().start();
+  // The runtime pool (DESIGN.md §14): every node contributes
+  // aggregator_threads aggregator units and one network unit, dealt out
+  // node-major in contiguous blocks. 0 means one thread per unit — the
+  // historical dedicated topology.
+  const std::uint64_t units =
+      std::uint64_t(config_.nodes) * (config_.aggregator_threads + 1);
+  const std::uint32_t threads =
+      config_.runtime_threads == 0
+          ? std::uint32_t(units)
+          : std::uint32_t(std::min<std::uint64_t>(config_.runtime_threads,
+                                                  units));
+  poolStop_.store(false, std::memory_order_relaxed);
+  pool_.reserve(threads);
+  for (std::uint32_t t = 0; t < threads; ++t)
+    pool_.emplace_back([this, t, units, threads] {
+      poolLoop(units * t / threads, units * (t + 1) / threads, t);
+    });
   const bool gauges = tracer_.enabled() && config_.obs.gauge_period.count() > 0;
   if (gauges || watchdog_ || membership_ || timeseries_)
     monitor_ = std::thread([this] { monitorLoop(); });
   threadsStarted_ = true;
 }
 
-// One pool thread: owns nodes t, t+P, t+2P, ... exclusively (so the
-// aggregator pump and network pumpOnce keep their single-consumer
-// contracts) and alternates GPU-queue draining with network resolution.
-void Cluster::poolLoop(std::uint32_t t) {
-  const std::string name = "pool." + std::to_string(t);
+// One pool thread: owns units [first, last) exclusively and alternates
+// GPU-queue draining with network resolution, skipping parked units.
+void Cluster::poolLoop(std::uint64_t first, std::uint64_t last,
+                       std::uint32_t t) {
+  const std::uint32_t perNode = config_.aggregator_threads + 1;
+  struct Unit {
+    ParkGate* gate;
+    Aggregator* agg;     ///< null for the network unit
+    NetworkThread* net;  ///< null for an aggregator unit
+    std::optional<SlotRouter::Staging> staging;  ///< aggregator units only
+  };
+  std::vector<Unit> mine;
+  mine.reserve(last - first);
+  for (std::uint64_t u = first; u < last; ++u) {
+    NodeRuntime& n = *nodes_[u / perNode];
+    if (u % perNode < config_.aggregator_threads)
+      mine.push_back({&n.aggregator().gate(), &n.aggregator(), nullptr,
+                      n.aggregator().makeStaging()});
+    else
+      mine.push_back({&n.network().gate(), nullptr, &n.network(), {}});
+  }
+  // A thread that owns one unit keeps that unit's historical name.
+  std::string name = "pool." + std::to_string(t);
+  if (last - first == 1) {
+    const std::string node = std::to_string(first / perNode);
+    name = mine[0].agg ? "agg." + node + "." + std::to_string(first % perNode)
+                       : "net." + node;
+  }
   tracer_.nameThread(name);
-  if (profiler_.enabled()) profiler_.nameThread(name);
-  const std::uint32_t stride =
-      std::min(config_.runtime_threads, config_.nodes);
-  std::vector<std::uint32_t> mine;
-  for (std::uint32_t i = t; i < config_.nodes; i += stride)
-    mine.push_back(i);
-  std::vector<SlotRouter::Staging> staging;
-  staging.reserve(mine.size());
-  for (std::uint32_t i : mine)
-    staging.push_back(nodes_[i]->aggregator().makeStaging());
+  profiler_.nameThread(name);
+  // One pass: each unparked unit pumps once (up to `maxSlots` GPU-queue
+  // slots, or one delivery batch). Returns whether any unit did work.
+  const auto pass = [&mine](std::uint32_t maxSlots, bool timeouts) {
+    bool busy = false;
+    for (Unit& u : mine) {
+      if (!u.gate->enter()) continue;
+      if (u.agg) {
+        busy |= u.agg->pump(*u.staging, maxSlots) > 0;
+        if (timeouts) u.agg->checkTimeouts();
+      } else {
+        busy |= u.net->pumpOnce();
+      }
+      u.gate->leave();
+    }
+    return busy;
+  };
   Backoff backoff(std::chrono::microseconds(200));
   // Time-based timeout cadence: the per-slot cadence inside pump() only
-  // advances under load, and an idle pass over hundreds of nodes is much
-  // longer than one dedicated thread's poll loop, so the pool re-checks on
-  // a fraction of the flush timeout instead.
+  // advances under load, and an idle pass over hundreds of units is much
+  // longer than one unit's poll, so re-check on a fraction of the flush
+  // timeout.
   const auto timeoutPeriod = config_.flush_timeout / 4;
   auto nextTimeout = std::chrono::steady_clock::now();
   // pairs-with: cluster.pool-stop
   while (!poolStop_.load(std::memory_order_acquire)) {
     bool busy = false;
     {
-      // One pump pass over this thread's nodes; the per-node aggregator
-      // and network regions nest underneath for path-level attribution.
+      // The aggregator and network regions nest underneath for path-level
+      // attribution.
       obs::ScopedRegion pumpRegion(&profiler_, obs::Region::kPoolPump);
-      for (std::size_t k = 0; k < mine.size(); ++k) {
-        NodeRuntime& n = *nodes_[mine[k]];
-        busy |= n.aggregator().pump(staging[k], /*maxSlots=*/8) > 0;
-        busy |= n.network().pumpOnce();
-      }
       const auto now = std::chrono::steady_clock::now();
-      if (now >= nextTimeout) {
-        for (std::uint32_t i : mine) nodes_[i]->aggregator().checkTimeouts();
-        nextTimeout = now + timeoutPeriod;
-      }
+      const bool timeouts = now >= nextTimeout;
+      if (timeouts) nextTimeout = now + timeoutPeriod;
+      busy = pass(/*maxSlots=*/8, timeouts);
     }
     if (busy) {
       backoff.reset();
@@ -226,18 +254,17 @@ void Cluster::poolLoop(std::uint32_t t) {
       backoff.wait();
     }
   }
-  // Final drain, mirroring the dedicated threads' stopped-drain: route
-  // whatever the GPU queues still hold, flush it, then resolve the wire
-  // until dry. stopPool() is only called after producers quiesced.
-  for (std::size_t k = 0; k < mine.size(); ++k)
-    while (nodes_[mine[k]]->aggregator().pump(staging[k], 64) > 0) {
+  // Final drain: route whatever the GPU queues still hold, flush it, then
+  // resolve the wire until dry. stopPool() is only called after producers
+  // quiesced; parked units stay untouched.
+  while (pass(64, false)) {
+  }
+  for (Unit& u : mine)
+    if (u.agg && u.gate->enter()) {
+      u.agg->flushAll();
+      u.gate->leave();
     }
-  for (std::uint32_t i : mine) nodes_[i]->aggregator().flushAll();
-  bool drained = false;
-  while (!drained) {
-    drained = true;
-    for (std::uint32_t i : mine)
-      if (nodes_[i]->network().pumpOnce()) drained = false;
+  while (pass(64, false)) {
   }
 }
 
@@ -259,11 +286,11 @@ void Cluster::crashNode(std::uint32_t n) {
   GRAVEL_CHECK_MSG(n < config_.nodes, "crashNode: bad node id");
   ensureThreadsStarted();
   if (!membership_->declareDead(n, "crashNode() injected")) return;
-  // Stop (and join) the node's network thread first: afterwards its
-  // resolution level is final, so excision settles sender-side copies
-  // against the truth — resolved counts delivered, the rest dead-letters.
-  // The aggregator deliberately keeps running: GPU queues keep draining
-  // (the proxy-thread property) and its sends dead-letter at the breaker.
+  // Park the node's network unit first: afterwards its resolution level is
+  // final, so excision settles sender-side copies against the truth —
+  // resolved counts delivered, the rest dead-letters. The aggregator units
+  // deliberately keep running: GPU queues keep draining (the proxy-thread
+  // property) and their sends dead-letter at the breaker.
   nodes_[n]->network().stop();
   reliable_->exciseNode(n, /*receiverStopped=*/true);
 }
@@ -288,8 +315,8 @@ void Cluster::restartNode(std::uint32_t n) {
   for (std::uint32_t d : membership_->deadNodes())
     reliable_->exciseNode(d, /*receiverStopped=*/!threadsStarted_ ||
                                  !nodes_[d]->network().running());
-  // A crashNode()-stopped network thread restarts; a detector-excised
-  // node's thread never died and keeps running.
+  // A crashNode()-parked network unit restarts; a detector-excised node's
+  // unit was never parked and keeps running.
   if (threadsStarted_ && !nodes_[n]->network().running())
     nodes_[n]->network().start();
   // Pay back what the cluster owes the node (and what it owed others).

@@ -80,9 +80,9 @@ class Cluster {
   /// by host-driven phases of baseline models.
   void hostParallel(const std::function<void(std::uint32_t)>& work);
 
-  /// Starts aggregator/network threads explicitly. launchAll() does this
-  /// on first use; callers that drive devices and the fabric directly (the
-  /// §3 model implementations) must call it before sending.
+  /// Starts the runtime pool explicitly. launchAll() does this on first
+  /// use; callers that drive devices and the fabric directly (the §3 model
+  /// implementations) must call it before sending.
   void start() { ensureThreadsStarted(); }
 
   /// Drains GPU queues, flushes aggregators and waits until every message
@@ -110,7 +110,7 @@ class Cluster {
   /// Dead-letter queue; null under fail_fast.
   net::DeadLetterQueue* deadLetters() noexcept { return dlq_.get(); }
 
-  /// Crash injection: declares node `n` dead, stops its network thread and
+  /// Crash injection: declares node `n` dead, parks its network unit and
   /// excises every link touching it — in-flight traffic it already resolved
   /// counts delivered, the rest is dead-lettered, and new sends toward it
   /// dead-letter immediately (its aggregator keeps draining the GPU queue,
@@ -120,7 +120,7 @@ class Cluster {
 
   /// Restart injection: brings a crashed node back under the next epoch —
   /// links re-sync (stale-epoch wire traffic stays rejected), its network
-  /// thread restarts, and dead-lettered traffic involving it is redelivered
+  /// unit restarts, and dead-lettered traffic involving it is redelivered
   /// through the normal send path. Requires a prior crashNode/excision.
   void restartNode(std::uint32_t n);
 
@@ -199,7 +199,7 @@ class Cluster {
 
  private:
   void ensureThreadsStarted();
-  void poolLoop(std::uint32_t t);
+  void poolLoop(std::uint64_t first, std::uint64_t last, std::uint32_t t);
   void stopPool();
   [[noreturn]] void quietDeadlineExpired(const char* stage);
   void monitorLoop();
@@ -227,11 +227,10 @@ class Cluster {
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
   bool threadsStarted_ = false;
 
-  /// Cooperative runtime pool (config.runtime_threads > 0): a fixed set of
-  /// threads round-robin-pumping every node's aggregator and network
-  /// resolver, instead of 2N dedicated threads (DESIGN.md §14). Each node
-  /// is owned by exactly one pool thread, preserving the single-consumer
-  /// contracts of pump()/pumpOnce().
+  /// The runtime pool (DESIGN.md §14): the only runtime threads. Each
+  /// pumps a contiguous block of units — aggregator_threads aggregator
+  /// units plus one network unit per node — and each unit has exactly one
+  /// owner, preserving pumpOnce()'s single-consumer contract.
   std::vector<std::thread> pool_;
   atomic<bool> poolStop_{false};
 

@@ -50,16 +50,17 @@ struct ClusterConfig {
   /// 125 us — see src/perf).
   std::chrono::microseconds flush_timeout{125000};
 
-  /// Aggregator threads consuming the GPU queue (Table 3: 1).
+  /// Aggregator units per node draining the GPU queue (Table 3: 1
+  /// aggregator thread). Each is one pumped unit of the runtime pool, with
+  /// its own routing staging; see runtime_threads.
   std::uint32_t aggregator_threads = 1;
 
-  /// Busy-path timeout cadence: the aggregator re-checks the flush timeout
-  /// every N routed slots, so partially-filled per-node queues are retired
-  /// on time even when the GPU queue never goes idle (the idle poll loop —
-  /// previously the only caller — then never runs).
+  /// Busy-path timeout cadence: each aggregator unit re-checks the flush
+  /// timeout every N routed slots, so partially-filled per-node queues are
+  /// retired on time even when the GPU queue never goes idle.
   std::uint32_t aggregator_timeout_check_slots = 16;
 
-  /// Initial per-destination reserve (messages) for each routing thread's
+  /// Initial per-destination reserve (messages) for each aggregator unit's
   /// staging runs; purely an allocation hint for the slot-batched path.
   std::uint32_t aggregator_staging_reserve = 64;
 
@@ -70,11 +71,14 @@ struct ClusterConfig {
   /// 0 means the SlotRouter default (64).
   std::uint32_t aggregator_shards = 0;
 
-  /// Cooperative runtime pool size. 0 (default) keeps the historical
-  /// dedicated aggregator + network thread pair per node. A positive value
-  /// drives all nodes' aggregation and network pumping from this many
-  /// shared threads instead — the only way to run 1024+ simulated nodes on
-  /// a host that cannot spawn 2N OS threads.
+  /// Runtime pool size (DESIGN.md §14). Every node contributes
+  /// aggregator_threads aggregator units plus one network unit; the pool
+  /// deals them out node-major in contiguous blocks over this many
+  /// threads. 0 (default) means one thread per unit: N x
+  /// (aggregator_threads + 1) threads, the paper's dedicated topology. A
+  /// small positive value runs 1024+ simulated nodes on a host that cannot
+  /// spawn that many OS threads. Reliability and crash/restart work on
+  /// every setting.
   std::uint32_t runtime_threads = 0;
 
   /// Upper bound on the cluster's total *eager* allocation footprint
@@ -182,12 +186,6 @@ struct ClusterConfig {
               "); shrink heap_bytes/gpu_queue_bytes for large simulated "
               "clusters, or raise max_eager_bytes");
     }
-    if (runtime_threads > 0)
-      GRAVEL_CHECK_MSG(
-          !reliability.enabled,
-          "runtime_threads (cooperative pool) does not drive the "
-          "reliability layer's retransmit/crash-restart machinery; use "
-          "dedicated threads (runtime_threads = 0) with reliability");
     if (reliability.policy == net::FailurePolicy::kDegrade) {
       GRAVEL_CHECK_MSG(reliability.enabled,
                        "the degrade failure policy needs the reliability "

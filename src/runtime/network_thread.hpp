@@ -1,20 +1,21 @@
 // The per-node network thread (paper §6): receives per-node queues from the
-// fabric and resolves each message as a local memory operation. Routing all
-// atomics — local ones included — through this single thread serializes them,
+// fabric and resolves each message as a local memory operation. The runtime
+// pool drives it as one unit per node (DESIGN.md §14), so one thread at a
+// time resolves a node's traffic. Routing all atomics — local ones
+// included — through this single resolver serializes them,
 // which is both the paper's correctness strategy for active messages and the
 // reason local/remote atomic throughput is similar (§7.1).
 #pragma once
 
 #include <cstdint>
-#include <thread>
 
 #include "common/atomic.hpp"
-#include "common/backoff.hpp"
 #include "net/fabric.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "runtime/active_message.hpp"
 #include "runtime/message.hpp"
+#include "runtime/park_gate.hpp"
 #include "runtime/symmetric_heap.hpp"
 
 namespace gravel::rt {
@@ -34,8 +35,8 @@ class NetworkThread {
         // one-message batches: chained walks are latency-bound, not
         // bandwidth-bound, and shipping before markResolved() keeps the
         // quiet protocol's in-flight count from ever touching zero
-        // mid-chain. A member (not a run()-local) because AmContext holds
-        // the SendFn by reference and pumpOnce() needs it thread-free.
+        // mid-chain. A member because AmContext holds the SendFn by
+        // reference.
         sendFn_([this](std::uint32_t dest, std::uint32_t handler,
                        std::uint64_t a0, std::uint64_t a1) {
           fabric_.send(self_, dest,
@@ -43,44 +44,32 @@ class NetworkThread {
         }),
         ctx_(heap_, self_, sendFn_) {}
 
-  ~NetworkThread() { stop(); }
-
   NetworkThread(const NetworkThread&) = delete;
   NetworkThread& operator=(const NetworkThread&) = delete;
 
-  void start() {
-    // A previously stopped worker (crash/restart cycling) was joined by
-    // stop(), but the moved-from std::thread must be reaped before the slot
-    // is reused.
-    if (worker_.joinable()) worker_.join();
-    // Thread creation below establishes the happens-before to the worker.
-    stopped_.store(false, std::memory_order_relaxed);
-    worker_ = std::thread([this] { run(); });
-  }
+  /// Lets the pool resolve this node's traffic (crash/restart cycling).
+  void start() { gate_.unpark(); }
 
-  void stop() {
-    // Release pairs with the worker's acquire: everything published before
-    // the stop request is visible to the worker's final drain.
-    stopped_.store(true, std::memory_order_release);  // pairs-with: netthread.stopped
-    if (worker_.joinable()) worker_.join();
-  }
+  /// Parks the unit: once stop() returns, no resolve runs for this node
+  /// until start(), so its resolution level is final (crashNode relies on
+  /// this before excising the node).
+  void stop() { gate_.park(); }
 
   std::uint64_t messagesResolved() const noexcept {
     return resolved_.load(std::memory_order_relaxed);
   }
 
-  /// Whether the worker is (logically) live — false before start(), after
-  /// stop(), and after crashNode() stopped it. restartNode() uses this to
-  /// avoid double-starting a thread the failure detector never killed.
-  bool running() const noexcept {
-    return !stopped_.load(std::memory_order_acquire);  // pairs-with: netthread.stopped
-  }
+  /// Whether the unit is live — false before start(), after stop(), and
+  /// after crashNode() stopped it. restartNode() uses this to avoid
+  /// double-starting a unit the failure detector never parked.
+  bool running() const noexcept { return !gate_.parked(); }
 
-  /// Cooperative (pooled) drive: one fabric poll plus at most one delivery
-  /// batch, never blocking. Returns true when messages were resolved. The
-  /// pool guarantees one driver per node at a time, so this shares the
-  /// dedicated worker's single-consumer contract (they are never mixed:
-  /// pooled clusters never start() the worker).
+  /// The park handshake the pool honours before every pumpOnce().
+  ParkGate& gate() noexcept { return gate_; }
+
+  /// One fabric poll plus at most one delivery batch, never blocking.
+  /// Returns true when messages were resolved. Single consumer: one
+  /// thread at a time per node (the pool's unit ownership).
   bool pumpOnce() {
     {
       // poll() IS the reliable layer's ack/retransmit scan (a no-op on the
@@ -98,44 +87,6 @@ class NetworkThread {
   }
 
  private:
-  void run() {
-    const std::string name = "net." + std::to_string(self_);
-    tracer_.nameThread(name);
-    if (prof_ != nullptr) prof_->nameThread(name);
-    net::Delivery d;
-    // Bounded backoff: an idle network thread decays to ~100 us sleeps
-    // (cheap CPU) but snaps back to hot spinning on the first delivery.
-    Backoff backoff(std::chrono::microseconds(100));
-    for (;;) {
-      {
-        // Drive the fabric's housekeeping even while traffic keeps us
-        // busy. poll() IS the reliability layer's ack/retransmit scan (a
-        // no-op on the perfect fabric), so it gets its own region.
-        obs::ScopedRegion pollRegion(prof_, obs::Region::kRelRetransmit);
-        fabric_.poll(self_);
-      }
-      if (fabric_.tryReceive(self_, d)) {
-        obs::ScopedRegion recvRegion(prof_, obs::Region::kNetRecv);
-        for (const NetMessage& m : d.messages) resolve(ctx_, m);
-        fabric_.markResolved(self_, d);
-        resolved_.fetch_add(d.messages.size(), std::memory_order_relaxed);
-        backoff.reset();
-      // pairs-with: netthread.stopped
-      } else if (stopped_.load(std::memory_order_acquire)) {
-        // Drain once more after observing stop; quiet() guarantees no new
-        // sends race this.
-        if (!fabric_.tryReceive(self_, d)) return;
-        obs::ScopedRegion recvRegion(prof_, obs::Region::kNetRecv);
-        for (const NetMessage& m : d.messages) resolve(ctx_, m);
-        fabric_.markResolved(self_, d);
-        resolved_.fetch_add(d.messages.size(), std::memory_order_relaxed);
-      } else {
-        obs::ScopedRegion idleRegion(prof_, obs::Region::kIdle);
-        backoff.wait();
-      }
-    }
-  }
-
   void resolve(AmContext& ctx, const NetMessage& m) {
     // active(), not enabled(): the flight recorder records every delivery
     // (id 0 = unsampled), the sampled buffers only the stamped ones.
@@ -175,9 +126,8 @@ class NetworkThread {
   /// Declared before ctx_: AmContext stores the SendFn by reference.
   AmContext::SendFn sendFn_;
   AmContext ctx_;
-  atomic<bool> stopped_{true};
+  ParkGate gate_{/*parked=*/true};
   atomic<std::uint64_t> resolved_{0};
-  std::thread worker_;
 };
 
 }  // namespace gravel::rt

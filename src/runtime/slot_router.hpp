@@ -129,6 +129,10 @@ class SlotRouter {
       mask_ = cap - 1;
     }
 
+    /// Slots routed through this staging since its last timeout check
+    /// (Aggregator::pump's busy-path cadence).
+    std::uint32_t slotsSinceTimeoutCheck = 0;
+
     /// Bytes of scratch this staging currently holds (capacity, not size).
     /// The scale regression test asserts this is independent of `nodes`.
     std::size_t residentBytes() const {

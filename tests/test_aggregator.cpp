@@ -4,7 +4,8 @@
 // and 4 aggregator threads, the busy-path timeout cadence (the
 // timeout-starvation regression), the routing lock discipline (one lock
 // acquisition per distinct destination per slot), and ClusterConfig
-// validation of degenerate setups.
+// validation of degenerate setups. Standalone aggregators are driven by
+// PumpThreads making the runtime pool's calls.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,6 +18,7 @@
 #include "runtime/aggregator.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/slot_router.hpp"
+#include "pump_threads.hpp"
 
 namespace gravel::rt {
 namespace {
@@ -52,7 +54,7 @@ TEST(Aggregator, TimeoutFlushReachedUnderSustainedLoad) {
   net::PerfectFabric fabric(3);
   obs::Tracer tracer(c.obs);
   Aggregator agg(0, queue, fabric, c, tracer);
-  agg.start(1);
+  PumpThreads pumps(agg, 1);
 
   // Park one message for destination 2 and wait until it is routed into the
   // (still partial) per-destination buffer.
@@ -82,7 +84,7 @@ TEST(Aggregator, TimeoutFlushReachedUnderSustainedLoad) {
       << "timeout flush took " << flushedAt << " ms, more than 10x the "
       << c.flush_timeout.count() / 1000 << " ms flush timeout";
   EXPECT_EQ(fabric.link(0, 2).messages, 1u);
-  agg.stop();
+  pumps.stop();
 }
 
 // --- batching invariants ---------------------------------------------------
@@ -111,7 +113,7 @@ BatchedRun runBatched(std::uint32_t threads, std::uint32_t slots) {
   net::PerfectFabric fabric(kNodes);
   obs::Tracer tracer(c.obs);
   Aggregator agg(0, queue, fabric, c, tracer);
-  agg.start(threads);
+  PumpThreads pumps(agg, threads);
 
   for (std::uint32_t s = 0; s < slots; ++s) {
     std::vector<NetMessage> msgs;
@@ -144,7 +146,7 @@ BatchedRun runBatched(std::uint32_t threads, std::uint32_t slots) {
       }
     }
   }
-  agg.stop();
+  pumps.stop();
   return run;
 }
 

@@ -13,7 +13,8 @@
 //     through retransmission, never through the breaker).
 //
 // CI runs this binary under the GRAVEL_FAULT_* matrix (see ci.yml), so the
-// same scenarios soak with drops/dups/reorders layered under the crashes.
+// same scenarios soak with drops/dups/reorders layered under the crashes,
+// each on both runtime layouts (kLayouts).
 // On failure, set GRAVEL_CHAOS_ARTIFACT_DIR to capture flight-recorder
 // dumps for the post-mortem.
 
@@ -36,9 +37,16 @@
 namespace gravel::apps {
 namespace {
 
-rt::ClusterConfig chaosCluster(std::uint32_t nodes) {
+/// Every scenario runs on both runtime layouts: one thread per unit (0)
+/// and a two-thread shared pool, where crashNode() parks a unit that a
+/// pool thread shares with live ones.
+constexpr std::uint32_t kLayouts[] = {0, 2};
+
+rt::ClusterConfig chaosCluster(std::uint32_t nodes,
+                               std::uint32_t runtimeThreads) {
   rt::ClusterConfig c;
   c.nodes = nodes;
+  c.runtime_threads = runtimeThreads;
   c.heap_bytes = 8u << 20;
   c.gpu_queue_bytes = 1 << 14;
   c.pernode_queue_bytes = 1 << 10;
@@ -56,7 +64,7 @@ rt::ClusterConfig chaosCluster(std::uint32_t nodes) {
 }
 
 /// Timed crash/restart injections against a running cluster. Offsets are
-/// from driver start; a restart is skipped if the node is not dead (its
+/// from injector start; a restart is skipped if the node is not dead (its
 /// crash may have raced an earlier restart), a crash no-ops if it already
 /// is. The app thread never synchronizes with this thread except through
 /// the cluster itself — that asynchrony is the point of the soak.
@@ -66,9 +74,9 @@ struct ChaosEvent {
   bool crash = true;  ///< false = restart
 };
 
-class ChaosDriver {
+class ChaosInjector {
  public:
-  ChaosDriver(rt::Cluster& cluster, std::vector<ChaosEvent> events)
+  ChaosInjector(rt::Cluster& cluster, std::vector<ChaosEvent> events)
       : cluster_(cluster), events_(std::move(events)), thread_([this] {
           const auto t0 = std::chrono::steady_clock::now();
           for (const ChaosEvent& e : events_) {
@@ -79,7 +87,7 @@ class ChaosDriver {
               cluster_.restartNode(e.node);
           }
         }) {}
-  ~ChaosDriver() { join(); }
+  ~ChaosInjector() { join(); }
   void join() {
     if (thread_.joinable()) thread_.join();
   }
@@ -116,12 +124,14 @@ void expectConservation(const rt::Cluster& cluster, const char* where) {
       << " sent=" << s.net_messages;
 }
 
-/// CI artifact hook: flight-recorder JSON per scenario when the env var
-/// names a directory (the chaos job uploads it on failure).
+/// CI artifact hook: flight-recorder JSON per scenario and layout when the
+/// env var names a directory (the chaos job uploads it on failure).
 void dumpArtifact(const rt::Cluster& cluster, const std::string& name) {
   const char* dir = std::getenv("GRAVEL_CHAOS_ARTIFACT_DIR");
   if (dir == nullptr || *dir == '\0') return;
-  std::ofstream out(std::string(dir) + "/" + name + ".json");
+  std::ofstream out(std::string(dir) + "/" + name + "_rt" +
+                    std::to_string(cluster.config().runtime_threads) +
+                    ".json");
   if (out.good()) cluster.writeFlightRecorder(out, "chaos-soak " + name);
 }
 
@@ -159,99 +169,118 @@ void expectSurvivedChaos(rt::Cluster& cluster, const std::string& name,
 // --- GUPS -------------------------------------------------------------------
 
 TEST(Chaos, GupsSurvivesCrashRestartCycle) {
-  rt::Cluster cluster(chaosCluster(6));
-  cluster.start();
-  cluster.crashNode(5);  // dead before the first update is issued
-  GupsConfig cfg;
-  cfg.table_size = 1 << 12;
-  cfg.updates_per_node = 1 << 13;
-  {
-    // A second victim cycles crash -> restart -> crash while updates fly.
-    ChaosDriver driver(cluster,
-                       {{std::chrono::milliseconds(2), 2, true},
-                        {std::chrono::milliseconds(10), 2, false},
-                        {std::chrono::milliseconds(25), 2, true}});
-    runGups(cluster, cfg);
+  for (const std::uint32_t runtimeThreads : kLayouts) {
+    SCOPED_TRACE("runtime_threads " + std::to_string(runtimeThreads));
+    rt::Cluster cluster(chaosCluster(6, runtimeThreads));
+    cluster.start();
+    cluster.crashNode(5);  // dead before the first update is issued
+    GupsConfig cfg;
+    cfg.table_size = 1 << 12;
+    cfg.updates_per_node = 1 << 13;
+    {
+      // A second victim cycles crash -> restart -> crash while updates fly.
+      ChaosInjector injector(cluster,
+                             {{std::chrono::milliseconds(2), 2, true},
+                              {std::chrono::milliseconds(10), 2, false},
+                              {std::chrono::milliseconds(25), 2, true}});
+      runGups(cluster, cfg);
+    }
+    expectSurvivedChaos(cluster, "gups_crash_cycle", 5, {2, 5});
   }
-  expectSurvivedChaos(cluster, "gups_crash_cycle", 5, {2, 5});
 }
 
 TEST(Chaos, GupsValidatesWhenOnlyTheWireMisbehaves) {
-  // Control: same config, no crashes. Whatever GRAVEL_FAULT_* the CI matrix
-  // layers onto the wire must heal through retransmission — validation and
-  // exact conservation with zero dead letters.
-  rt::Cluster cluster(chaosCluster(6));
-  GupsConfig cfg;
-  cfg.table_size = 1 << 12;
-  cfg.updates_per_node = 1 << 12;
-  const AppReport report = runGups(cluster, cfg);
-  EXPECT_TRUE(report.validated);
-  EXPECT_FALSE(report.stats.degraded.degraded());
-  EXPECT_EQ(report.stats.breaker_trips, 0u);
-  EXPECT_EQ(report.stats.net_resolved, report.stats.net_messages);
+  for (const std::uint32_t runtimeThreads : kLayouts) {
+    SCOPED_TRACE("runtime_threads " + std::to_string(runtimeThreads));
+    // Control: same config, no crashes. Whatever GRAVEL_FAULT_* the CI matrix
+    // layers onto the wire must heal through retransmission — validation and
+    // exact conservation with zero dead letters.
+    rt::Cluster cluster(chaosCluster(6, runtimeThreads));
+    GupsConfig cfg;
+    cfg.table_size = 1 << 12;
+    cfg.updates_per_node = 1 << 12;
+    const AppReport report = runGups(cluster, cfg);
+    EXPECT_TRUE(report.validated);
+    EXPECT_FALSE(report.stats.degraded.degraded());
+    EXPECT_EQ(report.stats.breaker_trips, 0u);
+    EXPECT_EQ(report.stats.net_resolved, report.stats.net_messages);
+  }
 }
 
 // --- PageRank ---------------------------------------------------------------
 
 TEST(Chaos, PageRankSurvivesLosingAThirdOfTheCluster) {
-  rt::Cluster cluster(chaosCluster(3));
-  cluster.start();
-  cluster.crashNode(2);
-  graph::DistGraph dg(graph::bubblesLike(400, 2), 3);
-  PageRankConfig cfg;
-  cfg.iterations = 4;
-  {
-    ChaosDriver driver(cluster, {{std::chrono::milliseconds(3), 1, true},
-                                 {std::chrono::milliseconds(12), 1, false}});
-    runPageRank(cluster, dg, cfg);
+  for (const std::uint32_t runtimeThreads : kLayouts) {
+    SCOPED_TRACE("runtime_threads " + std::to_string(runtimeThreads));
+    rt::Cluster cluster(chaosCluster(3, runtimeThreads));
+    cluster.start();
+    cluster.crashNode(2);
+    graph::DistGraph dg(graph::bubblesLike(400, 2), 3);
+    PageRankConfig cfg;
+    cfg.iterations = 4;
+    {
+      ChaosInjector injector(cluster,
+                             {{std::chrono::milliseconds(3), 1, true},
+                              {std::chrono::milliseconds(12), 1, false}});
+      runPageRank(cluster, dg, cfg);
+    }
+    expectSurvivedChaos(cluster, "pagerank_two_victims", 2, {1, 2});
   }
-  expectSurvivedChaos(cluster, "pagerank_two_victims", 2, {1, 2});
 }
 
 TEST(Chaos, PageRankValidatesWhenOnlyTheWireMisbehaves) {
-  rt::Cluster cluster(chaosCluster(3));
-  graph::DistGraph dg(graph::bubblesLike(400, 2), 3);
-  const PageRankResult result = runPageRank(cluster, dg, {4});
-  EXPECT_TRUE(result.report.validated);
-  EXPECT_FALSE(result.report.stats.degraded.degraded());
-  EXPECT_EQ(result.report.stats.net_resolved,
-            result.report.stats.net_messages);
+  for (const std::uint32_t runtimeThreads : kLayouts) {
+    SCOPED_TRACE("runtime_threads " + std::to_string(runtimeThreads));
+    rt::Cluster cluster(chaosCluster(3, runtimeThreads));
+    graph::DistGraph dg(graph::bubblesLike(400, 2), 3);
+    const PageRankResult result = runPageRank(cluster, dg, {4});
+    EXPECT_TRUE(result.report.validated);
+    EXPECT_FALSE(result.report.stats.degraded.degraded());
+    EXPECT_EQ(result.report.stats.net_resolved,
+              result.report.stats.net_messages);
+  }
 }
 
 // --- K-means ----------------------------------------------------------------
 
 TEST(Chaos, KmeansSurvivesRepeatedCrashesOfTheSameNode) {
-  rt::Cluster cluster(chaosCluster(4));
-  cluster.start();
-  cluster.crashNode(3);
-  KmeansConfig cfg;
-  cfg.clusters = 4;
-  cfg.dims = 2;
-  cfg.points_per_node = 1 << 10;
-  cfg.iterations = 3;
-  {
-    ChaosDriver driver(cluster,
-                       {{std::chrono::milliseconds(2), 1, true},
-                        {std::chrono::milliseconds(8), 1, false},
-                        {std::chrono::milliseconds(14), 1, true},
-                        {std::chrono::milliseconds(20), 1, false}});
-    runKmeans(cluster, cfg);
+  for (const std::uint32_t runtimeThreads : kLayouts) {
+    SCOPED_TRACE("runtime_threads " + std::to_string(runtimeThreads));
+    rt::Cluster cluster(chaosCluster(4, runtimeThreads));
+    cluster.start();
+    cluster.crashNode(3);
+    KmeansConfig cfg;
+    cfg.clusters = 4;
+    cfg.dims = 2;
+    cfg.points_per_node = 1 << 10;
+    cfg.iterations = 3;
+    {
+      ChaosInjector injector(cluster,
+                             {{std::chrono::milliseconds(2), 1, true},
+                              {std::chrono::milliseconds(8), 1, false},
+                              {std::chrono::milliseconds(14), 1, true},
+                              {std::chrono::milliseconds(20), 1, false}});
+      runKmeans(cluster, cfg);
+    }
+    expectSurvivedChaos(cluster, "kmeans_flapping_node", 3, {1, 3});
   }
-  expectSurvivedChaos(cluster, "kmeans_flapping_node", 3, {1, 3});
 }
 
 TEST(Chaos, KmeansValidatesWhenOnlyTheWireMisbehaves) {
-  rt::Cluster cluster(chaosCluster(4));
-  KmeansConfig cfg;
-  cfg.clusters = 4;
-  cfg.dims = 2;
-  cfg.points_per_node = 1 << 10;
-  cfg.iterations = 3;
-  const KmeansResult result = runKmeans(cluster, cfg);
-  EXPECT_TRUE(result.report.validated);
-  EXPECT_FALSE(result.report.stats.degraded.degraded());
-  EXPECT_EQ(result.report.stats.net_resolved,
-            result.report.stats.net_messages);
+  for (const std::uint32_t runtimeThreads : kLayouts) {
+    SCOPED_TRACE("runtime_threads " + std::to_string(runtimeThreads));
+    rt::Cluster cluster(chaosCluster(4, runtimeThreads));
+    KmeansConfig cfg;
+    cfg.clusters = 4;
+    cfg.dims = 2;
+    cfg.points_per_node = 1 << 10;
+    cfg.iterations = 3;
+    const KmeansResult result = runKmeans(cluster, cfg);
+    EXPECT_TRUE(result.report.validated);
+    EXPECT_FALSE(result.report.stats.degraded.degraded());
+    EXPECT_EQ(result.report.stats.net_resolved,
+              result.report.stats.net_messages);
+  }
 }
 
 // --- Seeded random schedules ------------------------------------------------
@@ -262,41 +291,44 @@ TEST(Chaos, KmeansValidatesWhenOnlyTheWireMisbehaves) {
 // validation. Three seeds per run keeps the soak under a second — bump the
 // range locally to brute-force a suspected schedule-sensitive bug.
 TEST(Chaos, SeededRandomSchedulesAllConserve) {
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    constexpr std::uint32_t kNodes = 5;
-    rt::Cluster cluster(chaosCluster(kNodes));
-    cluster.start();
+  for (const std::uint32_t runtimeThreads : kLayouts) {
+    SCOPED_TRACE("runtime_threads " + std::to_string(runtimeThreads));
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      constexpr std::uint32_t kNodes = 5;
+      rt::Cluster cluster(chaosCluster(kNodes, runtimeThreads));
+      cluster.start();
 
-    // Victim A (dead for the whole run) and a distinct flapping victim B,
-    // both drawn from [1, kNodes): node 0 stays alive in every schedule so
-    // the non-victim epoch check always has a subject.
-    const std::uint32_t victimA = 1 + mix64(seed) % (kNodes - 1);
-    std::uint32_t victimB = 1 + mix64(seed ^ 0xb) % (kNodes - 1);
-    if (victimB == victimA) victimB = 1 + (victimB % (kNodes - 1));
-    cluster.crashNode(victimA);
+      // Victim A (dead for the whole run) and a distinct flapping victim B,
+      // both drawn from [1, kNodes): node 0 stays alive in every schedule so
+      // the non-victim epoch check always has a subject.
+      const std::uint32_t victimA = 1 + mix64(seed) % (kNodes - 1);
+      std::uint32_t victimB = 1 + mix64(seed ^ 0xb) % (kNodes - 1);
+      if (victimB == victimA) victimB = 1 + (victimB % (kNodes - 1));
+      cluster.crashNode(victimA);
 
-    std::vector<ChaosEvent> events;
-    std::uint64_t at = 1 + mix64(seed ^ 0xc) % 4;
-    const std::uint32_t cycles = 1 + mix64(seed ^ 0xd) % 2;
-    for (std::uint32_t i = 0; i < cycles; ++i) {
-      events.push_back({std::chrono::milliseconds(at), victimB, true});
-      at += 2 + mix64(seed ^ (0xe0 + i)) % 8;
-      events.push_back({std::chrono::milliseconds(at), victimB, false});
-      at += 2 + mix64(seed ^ (0xf0 + i)) % 8;
+      std::vector<ChaosEvent> events;
+      std::uint64_t at = 1 + mix64(seed ^ 0xc) % 4;
+      const std::uint32_t cycles = 1 + mix64(seed ^ 0xd) % 2;
+      for (std::uint32_t i = 0; i < cycles; ++i) {
+        events.push_back({std::chrono::milliseconds(at), victimB, true});
+        at += 2 + mix64(seed ^ (0xe0 + i)) % 8;
+        events.push_back({std::chrono::milliseconds(at), victimB, false});
+        at += 2 + mix64(seed ^ (0xf0 + i)) % 8;
+      }
+
+      GupsConfig cfg;
+      cfg.table_size = 1 << 12;
+      cfg.updates_per_node = 1 << 13;
+      cfg.seed = seed;
+      {
+        ChaosInjector injector(cluster, std::move(events));
+        runGups(cluster, cfg);
+      }
+      expectSurvivedChaos(cluster,
+                          "random_schedule_seed" + std::to_string(seed),
+                          victimA, {victimA, victimB});
     }
-
-    GupsConfig cfg;
-    cfg.table_size = 1 << 12;
-    cfg.updates_per_node = 1 << 13;
-    cfg.seed = seed;
-    {
-      ChaosDriver driver(cluster, std::move(events));
-      runGups(cluster, cfg);
-    }
-    expectSurvivedChaos(cluster,
-                        "random_schedule_seed" + std::to_string(seed),
-                        victimA, {victimA, victimB});
   }
 }
 
@@ -307,37 +339,40 @@ TEST(Chaos, SeededRandomSchedulesAllConserve) {
 // across runs, not just within one. Conservation is asserted per phase
 // window (each app opens its own stats window at a quiescent point).
 TEST(Chaos, WorkloadSequenceSharesOneClusterAcrossCrashes) {
-  rt::Cluster cluster(chaosCluster(3));
-  cluster.start();
+  for (const std::uint32_t runtimeThreads : kLayouts) {
+    SCOPED_TRACE("runtime_threads " + std::to_string(runtimeThreads));
+    rt::Cluster cluster(chaosCluster(3, runtimeThreads));
+    cluster.start();
 
-  cluster.crashNode(2);
-  GupsConfig gups;
-  gups.table_size = 1 << 12;
-  gups.updates_per_node = 1 << 12;
-  runGups(cluster, gups);
-  expectSurvivedChaos(cluster, "seq_gups", 2, {2});
+    cluster.crashNode(2);
+    GupsConfig gups;
+    gups.table_size = 1 << 12;
+    gups.updates_per_node = 1 << 12;
+    runGups(cluster, gups);
+    expectSurvivedChaos(cluster, "seq_gups", 2, {2});
 
-  cluster.crashNode(1);
-  graph::DistGraph dg(graph::bubblesLike(300, 2), 3);
-  runPageRank(cluster, dg, {3});
-  expectSurvivedChaos(cluster, "seq_pagerank", 1, {1, 2});
+    cluster.crashNode(1);
+    graph::DistGraph dg(graph::bubblesLike(300, 2), 3);
+    runPageRank(cluster, dg, {3});
+    expectSurvivedChaos(cluster, "seq_pagerank", 1, {1, 2});
 
-  cluster.crashNode(2);
-  KmeansConfig km;
-  km.clusters = 4;
-  km.dims = 2;
-  km.points_per_node = 1 << 10;
-  km.iterations = 2;
-  runKmeans(cluster, km);
-  expectSurvivedChaos(cluster, "seq_kmeans", 2, {1, 2});
+    cluster.crashNode(2);
+    KmeansConfig km;
+    km.clusters = 4;
+    km.dims = 2;
+    km.points_per_node = 1 << 10;
+    km.iterations = 2;
+    runKmeans(cluster, km);
+    expectSurvivedChaos(cluster, "seq_kmeans", 2, {1, 2});
 
-  // Every incarnation is counted: node 2 died in two phases.
-  EXPECT_GE(cluster.membership()->epoch(2), 2u);
+    // Every incarnation is counted: node 2 died in two phases.
+    EXPECT_GE(cluster.membership()->epoch(2), 2u);
 
-  // The healed cluster still validates — degradation was never sticky.
-  const AppReport report = runGups(cluster, gups);
-  EXPECT_TRUE(report.validated);
-  EXPECT_FALSE(report.stats.degraded.degraded());
+    // The healed cluster still validates — degradation was never sticky.
+    const AppReport report = runGups(cluster, gups);
+    EXPECT_TRUE(report.validated);
+    EXPECT_FALSE(report.stats.degraded.degraded());
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 // retransmitted — must leave bit-identical heaps.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -125,17 +126,31 @@ TEST(Fault, BaselineWorkloadIsSelfConsistent) {
   }
 }
 
+/// The runtime layouts every reliability test covers: one thread per unit
+/// and a two-thread shared pool.
+constexpr std::uint32_t kLayouts[] = {0, 2};
+
+/// Every admitted message resolved or dead-lettered, nothing in between.
+void expectConservation(const ClusterRunStats& s) {
+  EXPECT_EQ(s.net_resolved + s.degraded.dead_lettered, s.net_messages);
+}
+
 TEST(Fault, ReliabilityOnPerfectWireIsExact) {
-  ClusterConfig c = base();
-  c.reliability.enabled = true;
-  const RunResult r = runWorkload(c);
-  EXPECT_EQ(r.heap, baseline().heap);
-  EXPECT_GT(r.stats.acks_sent, 0u);
-  EXPECT_GT(r.stats.acks, 0u);
-  EXPECT_EQ(r.stats.injected_drops, 0u);
-  // App-level traffic must match the fault-free run (framing and ACKs are
-  // wire-level overhead, invisible up here).
-  EXPECT_EQ(r.stats.net_messages, baseline().stats.net_messages);
+  for (const std::uint32_t runtimeThreads : kLayouts) {
+    SCOPED_TRACE("runtime_threads " + std::to_string(runtimeThreads));
+    ClusterConfig c = base();
+    c.runtime_threads = runtimeThreads;
+    c.reliability.enabled = true;
+    const RunResult r = runWorkload(c);
+    EXPECT_EQ(r.heap, baseline().heap);
+    EXPECT_GT(r.stats.acks_sent, 0u);
+    EXPECT_GT(r.stats.acks, 0u);
+    EXPECT_EQ(r.stats.injected_drops, 0u);
+    // App-level traffic must match the fault-free run (framing and ACKs
+    // are wire-level overhead, invisible up here).
+    EXPECT_EQ(r.stats.net_messages, baseline().stats.net_messages);
+    expectConservation(r.stats);
+  }
 }
 
 TEST(Fault, SweepSeedsAndMixesBitIdentical) {
@@ -159,23 +174,28 @@ TEST(Fault, SweepSeedsAndMixesBitIdentical) {
   const Mix mixes[] = {{"full", full},
                        {"dropHeavy", dropHeavy},
                        {"dupReorder", dupReorder}};
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    for (const Mix& mix : mixes) {
-      SCOPED_TRACE(std::string(mix.name) + " seed " + std::to_string(seed));
-      ClusterConfig c = base();
-      c.fault = mix.fault;
-      c.fault.seed = seed;
-      c.reliability = fastReliability();
-      const RunResult r = runWorkload(c);
-      EXPECT_EQ(r.heap, baseline().heap);
-      EXPECT_GT(r.stats.acks, 0u);
-      if (mix.fault.drop_prob > 0) {
-        EXPECT_GT(r.stats.injected_drops, 0u);
-        EXPECT_GT(r.stats.retransmits, 0u);
-      }
-      if (mix.fault.dup_prob > 0) {
-        EXPECT_GT(r.stats.injected_dups, 0u);
-        EXPECT_GT(r.stats.dup_drops, 0u);
+  for (const std::uint32_t runtimeThreads : kLayouts) {
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      for (const Mix& mix : mixes) {
+        SCOPED_TRACE(std::string(mix.name) + " seed " + std::to_string(seed) +
+                     " runtime_threads " + std::to_string(runtimeThreads));
+        ClusterConfig c = base();
+        c.runtime_threads = runtimeThreads;
+        c.fault = mix.fault;
+        c.fault.seed = seed;
+        c.reliability = fastReliability();
+        const RunResult r = runWorkload(c);
+        EXPECT_EQ(r.heap, baseline().heap);
+        EXPECT_GT(r.stats.acks, 0u);
+        expectConservation(r.stats);
+        if (mix.fault.drop_prob > 0) {
+          EXPECT_GT(r.stats.injected_drops, 0u);
+          EXPECT_GT(r.stats.retransmits, 0u);
+        }
+        if (mix.fault.dup_prob > 0) {
+          EXPECT_GT(r.stats.injected_dups, 0u);
+          EXPECT_GT(r.stats.dup_drops, 0u);
+        }
       }
     }
   }
@@ -447,6 +467,71 @@ TEST(Degrade, RestartRedeliversDeadLettersUnderNewEpoch) {
          std::chrono::steady_clock::now() < until)
     std::this_thread::yield();
   EXPECT_EQ(cluster.membership()->health(1), NodeHealth::kAlive);
+}
+
+TEST(Degrade, CrashParksNetworkUnitOnSharedPool) {
+  // On a shared pool there is no thread to join: crashNode() parks node 1's
+  // network unit, and from its return until restartNode() the pool thread
+  // that owns the unit must not resolve a single message for it — even
+  // while live nodes keep sending to it.
+  ClusterConfig c = base();
+  c.runtime_threads = 2;
+  c.reliability = degradeReliability();
+  Cluster cluster(c);
+  auto slots = cluster.alloc<std::uint64_t>(kNodes);
+  cluster.start();
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> issued{0};
+  std::vector<std::thread> producers;
+  for (const std::uint32_t n : {0u, 2u, 3u})
+    producers.emplace_back([&, n] {
+      while (!stop.load(std::memory_order_acquire)) {
+        cluster.node(n).device().launch({kGrid, kWg}, [&](simt::WorkItem& wi) {
+          cluster.node(n).shmemInc(
+              wi, std::uint32_t((n + wi.globalId()) % kNodes), slots.at(n));
+        });
+        issued.fetch_add(kGrid, std::memory_order_relaxed);
+      }
+    });
+  NetworkThread& victim = cluster.node(1).network();
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (victim.messagesResolved() == 0 &&
+         std::chrono::steady_clock::now() < until)
+    std::this_thread::yield();
+  ASSERT_GT(victim.messagesResolved(), 0u) << "no traffic reached node 1";
+
+  cluster.crashNode(1);
+  EXPECT_FALSE(victim.running());
+  const std::uint64_t frozen = victim.messagesResolved();
+  const std::uint64_t deadBefore = cluster.runStats().degraded.dead_lettered;
+  const auto watch = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(50);
+  while (std::chrono::steady_clock::now() < watch) {
+    EXPECT_EQ(victim.messagesResolved(), frozen);
+    std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : producers) t.join();
+  cluster.quiet();
+  EXPECT_EQ(victim.messagesResolved(), frozen);
+  // Traffic really was in flight toward the parked node.
+  EXPECT_GT(cluster.runStats().degraded.dead_lettered, deadBefore);
+
+  cluster.restartNode(1);
+  cluster.quiet();
+  EXPECT_TRUE(victim.running());
+  EXPECT_GT(victim.messagesResolved(), frozen);
+  const ClusterRunStats s = cluster.runStats();
+  EXPECT_EQ(s.degraded.rejected, 0u);
+  EXPECT_EQ(cluster.deadLetters()->stats().stored, 0u);
+  EXPECT_EQ(s.net_resolved + s.degraded.dead_lettered, s.net_messages);
+  // Recovery paid everything back: every issued increment landed once.
+  std::uint64_t landed = 0;
+  for (std::uint32_t n = 0; n < kNodes; ++n)
+    for (std::uint32_t k = 0; k < kNodes; ++k)
+      landed += cluster.node(n).heap().loadU64(slots.at(k));
+  EXPECT_EQ(landed, issued.load(std::memory_order_relaxed));
 }
 
 TEST(Degrade, StaleEraWireTrafficIsRejectedAfterRestart) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "apps/app.hpp"
@@ -160,15 +161,23 @@ TEST(Integration, AggregatorPollsWhileGpuIsSlow) {
   // §8.1: the CPU aggregator spends most of its time polling for GPU
   // messages (65% in the paper at 8 nodes — their motivation for a
   // hardware aggregator). With the fiber-interpreted GPU the imbalance is
-  // even starker: the poll fraction must dominate.
-  Cluster cluster(tiny(2));
-  auto arr = cluster.alloc<std::uint64_t>(4);
-  cluster.launchAll(1024, 32, [&](std::uint32_t nodeId, simt::WorkItem& wi) {
-    cluster.node(nodeId).shmemInc(wi, 1 - nodeId, arr.at(0));
-  });
-  EXPECT_GT(cluster.node(0).aggregator().pollFraction(), 0.5);
-  EXPECT_EQ(cluster.node(0).aggregator().slotsProcessed(),
-            cluster.node(0).queue().reservedCount());
+  // even starker: the poll fraction must dominate — on a thread per unit
+  // and on a shared pool alike.
+  for (const std::uint32_t runtimeThreads : {0u, 2u}) {
+    SCOPED_TRACE("runtime_threads " + std::to_string(runtimeThreads));
+    ClusterConfig c = tiny(2);
+    c.runtime_threads = runtimeThreads;
+    Cluster cluster(c);
+    auto arr = cluster.alloc<std::uint64_t>(4);
+    cluster.launchAll(1024, 32,
+                      [&](std::uint32_t nodeId, simt::WorkItem& wi) {
+                        cluster.node(nodeId).shmemInc(wi, 1 - nodeId,
+                                                      arr.at(0));
+                      });
+    EXPECT_GT(cluster.node(0).aggregator().pollFraction(), 0.5);
+    EXPECT_EQ(cluster.node(0).aggregator().slotsProcessed(),
+              cluster.node(0).queue().reservedCount());
+  }
 }
 
 TEST(Integration, KernelExceptionsPropagateFromLaunchAll) {

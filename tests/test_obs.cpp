@@ -787,8 +787,9 @@ TEST(Watchdog, ForcedAggregatorStallIsNamedInQuietPostMortem) {
   c.watchdog.no_progress_deadline = std::chrono::milliseconds(50);
   rt::Cluster cluster(c);
   cluster.start();
-  // Wedge node 0's aggregator: its GPU queue fills and never drains.
-  cluster.node(0).aggregator().stop();
+  // Wedge node 0's aggregator: the pool parks its unit, so its GPU queue
+  // fills and never drains.
+  cluster.node(0).aggregator().gate().park();
   auto slots = cluster.alloc<std::uint64_t>(64);
   try {
     cluster.launchAll(128, 32, [&](std::uint32_t n, simt::WorkItem& wi) {
@@ -1667,13 +1668,15 @@ TEST(Profiler, SkewedWorkloadNamesTheAggregatorShardMutexWithEvidence) {
     EXPECT_GT(shard->waitQuantileNs(0.99), 0.0);
   }
 
-  // The same run's region attribution covers the aggregator loop.
+  // The same run's region attribution covers the aggregator units, whose
+  // regions nest under the runtime pool's pump pass.
   bool sawAggSlot = false;
   std::uint64_t busyTotal = 0;
   for (const auto& t : cluster.profiler().sample()) {
     busyTotal += t.busy_ns;
     for (const auto& p : t.paths)
-      if (p.depth >= 1 && p.stack[0] == obs::Region::kAggSlot)
+      if (p.depth >= 2 && p.stack[0] == obs::Region::kPoolPump &&
+          p.stack[1] == obs::Region::kAggSlot)
         sawAggSlot = true;
   }
   EXPECT_TRUE(sawAggSlot) << "no thread attributed time to agg.slot";

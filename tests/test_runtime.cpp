@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "net/fabric.hpp"
 #include "runtime/cluster.hpp"
+#include "pump_threads.hpp"
 
 namespace gravel::rt {
 namespace {
@@ -114,7 +115,7 @@ TEST(Aggregator, TimeoutFlushesPartialBufferWithoutFlushAll) {
   net::PerfectFabric fabric(2);
   obs::Tracer tracer(c.obs);
   Aggregator agg(0, queue, fabric, c, tracer);
-  agg.start(1);
+  PumpThreads pumps(agg, 1);
   auto ref = queue.acquireWrite(3);
   const NetMessage msgs[3] = {NetMessage::put(1, 0, 7),
                               NetMessage::put(1, 8, 8),
@@ -138,7 +139,7 @@ TEST(Aggregator, TimeoutFlushesPartialBufferWithoutFlushAll) {
   ASSERT_TRUE(fabric.tryReceive(1, d));
   ASSERT_EQ(d.messages.size(), 3u);
   EXPECT_EQ(d.messages[0].value, 7u);
-  agg.stop();
+  pumps.stop();
 }
 
 // --- end-to-end cluster tests -------------------------------------------
@@ -368,19 +369,22 @@ TEST(Cluster, MixedOperationKindsInterleave) {
 }
 
 // Property sweep: random mixes of destinations/activity must always deliver
-// exactly the multiset of increments the kernel issued.
+// exactly the multiset of increments the kernel issued. Every field is 64-bit
+// so the struct has no padding: gtest names each case by the param's bytes,
+// and uninitialised padding would make those names differ from run to run.
 struct MixParam {
-  std::uint32_t nodes;
+  std::uint64_t nodes;
   std::uint64_t grid;
-  std::uint32_t wg;
+  std::uint64_t wg;
   std::uint64_t seed;
 };
+static_assert(sizeof(MixParam) == 4 * sizeof(std::uint64_t));
 
 class RandomTraffic : public ::testing::TestWithParam<MixParam> {};
 
 TEST_P(RandomTraffic, IncrementsConserveCount) {
   const auto p = GetParam();
-  Cluster cluster(smallCluster(p.nodes, p.wg));
+  Cluster cluster(smallCluster(std::uint32_t(p.nodes), std::uint32_t(p.wg)));
   constexpr std::uint64_t kSlots = 32;
   auto arr = cluster.alloc<std::uint64_t>(kSlots);
 
@@ -403,8 +407,8 @@ TEST_P(RandomTraffic, IncrementsConserveCount) {
       }
     }
   }
-  cluster.launchAll(p.grid, p.wg, [&](std::uint32_t nodeId,
-                                      simt::WorkItem& wi) {
+  cluster.launchAll(p.grid, std::uint32_t(p.wg),
+                    [&](std::uint32_t nodeId, simt::WorkItem& wi) {
     const auto [dest, slot] = plan[nodeId][wi.globalId()];
     const bool active = dest != ~0u;
     cluster.node(nodeId).shmemInc(wi, active ? dest : 0,

@@ -2,8 +2,8 @@
 // so the runtime must actually run at four-digit node counts on one host.
 // These pin the three mechanisms that make that true — demand-paged
 // per-destination buffers, the sharded aggregation tree, and the timer-wheel
-// flush timeout — plus the cooperative runtime pool that replaces 2N
-// dedicated threads. Labelled `scale`; CI's scale-smoke job runs the
+// flush timeout — plus the runtime pool on two threads rather than one per
+// unit. Labelled `scale`; CI's scale-smoke job runs the
 // 1024-node cases (`ctest -L scale -E 4096`).
 #include <gtest/gtest.h>
 
@@ -19,7 +19,7 @@ namespace gravel::rt {
 namespace {
 
 /// A cluster sized to run thousands of simulated nodes in one process:
-/// small heaps/queues, and the cooperative pool instead of 2N threads.
+/// small heaps/queues, and a two-thread runtime pool.
 ClusterConfig scaleCluster(std::uint32_t nodes) {
   ClusterConfig c;
   c.nodes = nodes;
@@ -182,13 +182,18 @@ TEST(Scale, FootprintCapRejectsEagerConfigs) {
   }
 }
 
-// The pool must also coexist with the validate() guard rails.
-TEST(Scale, PoolRejectsReliabilityCombination) {
-  ClusterConfig c;
-  c.nodes = 8;
-  c.runtime_threads = 2;
-  c.reliability.enabled = true;
-  EXPECT_THROW(c.validate(), Error);
+// The pool drives the reliability layer and crash/restart on every
+// layout, so validate() admits the combination under both policies.
+TEST(Scale, PoolAcceptsReliabilityUnderEitherPolicy) {
+  for (const auto policy :
+       {net::FailurePolicy::kFailFast, net::FailurePolicy::kDegrade}) {
+    ClusterConfig c;
+    c.nodes = 8;
+    c.runtime_threads = 2;
+    c.reliability.enabled = true;
+    c.reliability.policy = policy;
+    EXPECT_NO_THROW(c.validate());
+  }
 }
 
 }  // namespace

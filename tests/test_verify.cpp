@@ -58,6 +58,15 @@ TEST(VerifyDfs, GravelTwoProducers) {
   EXPECT_TRUE(r.exhausted) << "schedule budget too small: " << r.schedules;
 }
 
+// The pumped claim (runtime pool): check-published-then-CAS with two
+// consumers racing over a 2-slot ring.
+TEST(VerifyDfs, GravelTryAcquireTwoConsumers) {
+  const ExploreResult r =
+      gravelTryAcquireTwoConsumers(dfs("dfs_gravel_try", 1, 400000));
+  EXPECT_TRUE(r.ok) << r.report("gravelTryAcquireTwoConsumers");
+  EXPECT_TRUE(r.exhausted) << "schedule budget too small: " << r.schedules;
+}
+
 // Regression net for the acquireRead stopped/drain ordering: a consumer that
 // observes `stopped` must still drain every message published before the
 // stop was requested (stop happens-after the final publish in this scenario).
@@ -123,6 +132,12 @@ TEST(VerifyPct, GravelRoundTrip) {
   const ExploreResult r = gravelRoundTrip(pct("pct_gravel", 200));
   EXPECT_TRUE(r.ok) << r.report("gravelRoundTrip[pct]");
   EXPECT_EQ(r.schedules, 200);
+}
+
+TEST(VerifyPct, GravelTryAcquireTwoConsumers) {
+  const ExploreResult r =
+      gravelTryAcquireTwoConsumers(pct("pct_gravel_try", 200));
+  EXPECT_TRUE(r.ok) << r.report("gravelTryAcquireTwoConsumers[pct]");
 }
 
 TEST(VerifyPct, MpmcRoundTrip) {

@@ -760,4 +760,53 @@ inline ExploreResult breakerHalfOpenProbe(const ExploreOptions& opts) {
   });
 }
 
+// ---------------------------------------------------------------------------
+// GravelQueue::tryAcquireRead, 1 producer / 2 pumped consumers over 2 slots
+// (the runtime pool's aggregator units): the claim checks the slot is
+// published *before* its CAS on readIdx, so a consumer may race another for
+// the same slot or see a reserved-but-unwritten one. Each consumer makes two
+// non-blocking attempts; whatever the schedule, every claimed message is
+// claimed once with its payload visible, and every unclaimed one is still
+// published in the ring.
+inline ExploreResult gravelTryAcquireTwoConsumers(const ExploreOptions& opts) {
+  return verify::explore(opts, [] {
+    struct State {
+      GravelQueue q{GravelQueueConfig{16, 1, 1}};  // 2 slots
+      std::vector<std::uint64_t> got[2];
+    };
+    auto st = std::make_shared<State>();
+    RunSpec spec;
+    spec.threads.push_back([st] {
+      for (std::uint64_t v : {1, 2}) {
+        GravelQueue::SlotRef ref = st->q.acquireWrite(1);
+        st->q.putWord(ref, 0, 0, v);
+        st->q.publish(ref);
+      }
+    });
+    for (int c = 0; c < 2; ++c)
+      spec.threads.push_back([st, c] {
+        GravelQueue::SlotRef ref;
+        for (int attempt = 0; attempt < 2; ++attempt) {
+          if (!st->q.tryAcquireRead(ref)) continue;
+          st->got[c].push_back(st->q.getWord(ref, 0, 0));
+          st->q.release(ref);
+        }
+      });
+    spec.finalCheck = [st]() -> std::string {
+      std::multiset<std::uint64_t> have(st->got[0].begin(), st->got[0].end());
+      have.insert(st->got[1].begin(), st->got[1].end());
+      if (have.size() != st->q.peekReadIdx())
+        return "claims and readIdx disagree";
+      for (std::uint64_t i = 0; i < have.size(); ++i)
+        if (have.count(i + 1) != 1)
+          return "pumped claim duplicated or corrupted a message";
+      for (std::uint64_t i = have.size(); i < 2; ++i)
+        if (!st->q.peekSlotFull(std::uint32_t(i)))
+          return "an unclaimed message is no longer published";
+      return "";
+    };
+    return spec;
+  });
+}
+
 }  // namespace gravel::vtests
