@@ -505,6 +505,7 @@ def main():
     repeats = args.repeats if args.repeats else (1 if args.smoke else 3)
     if repeats < 1:
         fail("--repeats must be >= 1")
+    os.makedirs(args.out_dir, exist_ok=True)
 
     written = []
     for name in names:

@@ -44,6 +44,41 @@ class alignas(kCacheLineSize) Counter {
 
 static_assert(sizeof(Counter) == kCacheLineSize);
 
+/// A statistic with one writer thread and concurrent readers — the GPU
+/// scheduler thread's device and operation counts, which the monitor's
+/// metric windows and runStats() may read mid-kernel. A bump is a relaxed
+/// load/store pair, never an RMW, so the writer pays no locked instruction
+/// (correct only because nobody else writes); a read is a relaxed load.
+/// Converts to and from std::uint64_t, and a copy is a snapshot, so it
+/// drops into plain-integer stats structs unchanged.
+class SingleWriterCounter {
+ public:
+  SingleWriterCounter(std::uint64_t v = 0) noexcept : value_(v) {}
+  SingleWriterCounter(const SingleWriterCounter& o) noexcept
+      : value_(o.get()) {}
+  SingleWriterCounter& operator=(const SingleWriterCounter& o) noexcept {
+    set(o.get());
+    return *this;
+  }
+
+  operator std::uint64_t() const noexcept { return get(); }
+  std::uint64_t get() const noexcept {
+    return value_.load(std::memory_order_relaxed);
+  }
+  SingleWriterCounter& operator+=(std::uint64_t n) noexcept {
+    set(get() + n);
+    return *this;
+  }
+  SingleWriterCounter& operator++() noexcept { return *this += 1; }
+
+ private:
+  void set(std::uint64_t v) noexcept {
+    value_.store(v, std::memory_order_relaxed);
+  }
+
+  atomic<std::uint64_t> value_;
+};
+
 /// A counter sharded across cache lines so concurrent writers (aggregator
 /// worker threads bumping per-message counts) never contend on one line.
 /// Each writer thread hashes to a fixed shard; get() sums all shards. The

@@ -173,9 +173,10 @@ class Fabric {
   virtual FaultStats faultStats() const { return {}; }
   virtual ReliabilityStats reliabilityStats() const { return {}; }
 
-  /// Observability hook: when set, the wire records a kWireSend trace event
-  /// for every sampled (trace-ID-stamped) message it accepts. Layered
-  /// fabrics forward the tracer to the transport they wrap.
+  /// Observability hook: when set, the wire records one kWireSend flight
+  /// summary per batch it accepts, and a kWireSend trace event for every
+  /// sampled (trace-ID-stamped) message in it. Layered fabrics forward the
+  /// tracer to the transport they wrap.
   virtual void setTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Batches handed to send() whose resolution (or acknowledgement) is
@@ -184,21 +185,29 @@ class Fabric {
   virtual std::uint64_t pendingCount() const { return 0; }
 
  protected:
-  /// Records wire-send events for every traced message of `batch`; no-op
-  /// without a tracer. Control frames (reliability headers/ACKs) carry no
-  /// trace ID and are skipped.
+  /// Records one flight-recorder summary of `batch`'s data messages plus a
+  /// wire-send event for each sampled one; no-op without a tracer. Control
+  /// frames (reliability headers/ACKs) are not messages and are skipped; a
+  /// batch of nothing else records nothing.
   void traceWireSend(std::uint32_t src, std::uint32_t dst,
                      const std::vector<rt::NetMessage>& batch) {
-    // active(), not enabled(): the flight recorder sees every data message
-    // crossing the wire (id 0 = unsampled); recordStage keeps unsampled
-    // events out of the sampled buffers.
     if (!tracer_ || !tracer_->active()) return;
+    const bool sampled = tracer_->enabled();
+    const rt::NetMessage* first = nullptr;
+    std::uint64_t data = 0;
     for (const rt::NetMessage& m : batch) {
       if (m.command() == rt::Command::kControl) continue;
-      tracer_->recordStage(obs::Stage::kWireSend, m.traceId(),
-                           std::uint16_t(src), std::uint16_t(dst), m.addr,
-                           std::uint8_t(m.command()));
+      if (first == nullptr) first = &m;
+      ++data;
+      if (sampled && m.traceId() != 0)
+        tracer_->recordStage(obs::Stage::kWireSend, m.traceId(),
+                             std::uint16_t(src), std::uint16_t(dst), m.addr,
+                             std::uint8_t(m.command()));
     }
+    if (first != nullptr)
+      tracer_->recordBatch(obs::Stage::kWireSend, std::uint16_t(src),
+                           std::uint16_t(dst), data,
+                           std::uint8_t(first->command()));
   }
 
   obs::Tracer* tracer_ = nullptr;

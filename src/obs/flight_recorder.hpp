@@ -7,20 +7,24 @@
 // recording thread, oldest events overwritten in place.
 //
 // Ring protocol (DESIGN.md §10): each ring has exactly one writer (its
-// owning thread). record() is a relaxed load of the head, a plain 32-byte
-// slot store, and a release store of head+1 — ~2 atomic ops, no RMW, no
-// lock, no branch on occupancy. Dumpers acquire the head and read the last
-// min(head, capacity) slots; when the ring has wrapped, the slot the writer
-// is about to overwrite may be mid-store, so a wrapped snapshot skips the
-// single oldest slot rather than risk a torn read. Thread registration is a
-// CAS push onto an intrusive singly-linked list — the recorder never takes
-// a mutex, so it is safe to mark this whole file hot-path.
+// owning thread). record() is a relaxed load of the head, a release fence,
+// four relaxed 8-byte slot stores and a release store of head+1 — no RMW,
+// no lock, no branch on occupancy. Dumpers acquire the head, copy the last
+// min(head, capacity) slots with relaxed loads, then (after an acquire
+// fence) re-read the head and drop every slot the writer could have
+// overwritten during the copy, seqlock-style: a slot whose copy saw any
+// word of a later record is caught by the re-read, so every returned event
+// is intact. Thread registration is a CAS push onto an intrusive
+// singly-linked list — the recorder never takes a mutex, so it is safe to
+// mark this whole file hot-path.
 //
 // gravel-lint: hot-path
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -41,13 +45,21 @@ class FlightRing {
     std::size_t cap = 1;
     while (cap < capacity) cap <<= 1;
     mask_ = cap - 1;
-    events_ = std::make_unique<TraceEvent[]>(cap);
+    slots_ = std::make_unique<Slot[]>(cap);
   }
 
   /// Owner-thread only: overwrite the oldest slot, publish the new head.
   void record(const TraceEvent& e) noexcept {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    events_[h & mask_] = e;
+    std::uint64_t words[kWords];
+    std::memcpy(words, &e, sizeof e);
+    // Orders the publication of head == h before this slot's stores: a
+    // reader whose copy sees any of them re-reads a head of at least h.
+    // pairs-with: flightrec.slot
+    std::atomic_thread_fence(std::memory_order_release);
+    Slot& s = slots_[h & mask_];
+    for (int i = 0; i < kWords; ++i)
+      s.words[i].store(words[i], std::memory_order_relaxed);
     head_.store(h + 1, std::memory_order_release);  // pairs-with: flightrec.head
   }
 
@@ -59,25 +71,49 @@ class FlightRing {
   std::size_t capacity() const noexcept { return std::size_t(mask_) + 1; }
 
   /// Copies the retained window, oldest first. Safe concurrent with the
-  /// writer: slots strictly below the acquired head are fully published,
-  /// and on a wrapped ring the single oldest slot — the one a live writer
-  /// may be overwriting — is skipped (see the file comment).
+  /// writer: slots below the acquired head are published, and any slot
+  /// the writer may have lapped during the copy is dropped (see the file
+  /// comment), so a snapshot taken while the writer runs returns fewer —
+  /// never torn — events.
   // gravel-analyze: cold — quiescent/dump-time reader, not a record site.
   std::vector<TraceEvent> snapshot() const {
+    const std::uint64_t cap = mask_ + 1;
     // pairs-with: flightrec.head
     const std::uint64_t h = head_.load(std::memory_order_acquire);
-    std::uint64_t n = std::min<std::uint64_t>(h, mask_ + 1);
-    if (h > mask_ + 1 && n > 0) --n;  // wrapped: oldest slot may be live
-    std::vector<TraceEvent> out;
-    out.reserve(std::size_t(n));
-    for (std::uint64_t i = h - n; i < h; ++i)
-      out.push_back(events_[i & mask_]);
+    const std::uint64_t from = h > cap ? h - cap : 0;
+    std::vector<TraceEvent> out(std::size_t(h - from));
+    for (std::uint64_t i = from; i < h; ++i) {
+      std::uint64_t words[kWords];
+      const Slot& s = slots_[i & mask_];
+      for (int w = 0; w < kWords; ++w)
+        words[w] = s.words[w].load(std::memory_order_relaxed);
+      std::memcpy(&out[std::size_t(i - from)], words, sizeof words);
+    }
+    // pairs-with: flightrec.slot
+    std::atomic_thread_fence(std::memory_order_acquire);
+    const std::uint64_t h2 = head_.load(std::memory_order_relaxed);
+    // The writer of record h2 may be mid-store into index h2 - cap's slot,
+    // and every record in [h, h2) has already overwritten its slot: keep
+    // only indices above h2 - cap.
+    const std::uint64_t keep = h2 >= cap ? h2 - cap + 1 : 0;
+    if (keep > from) {
+      const std::uint64_t lapped =
+          std::min<std::uint64_t>(keep - from, out.size());
+      out.erase(out.begin(), out.begin() + std::ptrdiff_t(lapped));
+    }
     return out;
   }
 
  private:
+  static constexpr int kWords = sizeof(TraceEvent) / sizeof(std::uint64_t);
+  /// One event as four relaxed atomic words: a lapping reader may copy a
+  /// mix of two records, which the head re-read then discards.
+  struct Slot {
+    atomic<std::uint64_t> words[kWords];
+  };
+
   std::uint64_t mask_ = 0;
-  std::unique_ptr<TraceEvent[]> events_;
+  std::unique_ptr<Slot[]> slots_;
   atomic<std::uint64_t> head_{0};
 };
 
@@ -138,7 +174,7 @@ class FlightRecorder {
   }
 
   /// All rings registered so far, registration order not guaranteed. Safe
-  /// concurrent with writers (see FlightRing::snapshot for the caveat).
+  /// concurrent with writers (FlightRing::snapshot drops lapped slots).
   // gravel-analyze: cold — dump-time walker.
   std::vector<const ThreadRing*> threads() const {
     std::vector<const ThreadRing*> out;
@@ -195,11 +231,17 @@ class FlightRecorder {
 /// Serializes the recorder as gravel_flightrec.json:
 ///   {"reason": ..., "now_ns": ..., "threads": [{"name", "recorded",
 ///    "capacity", "overwritten", "events": [{...}, ...]}, ...]}
-/// Events carry ts_ns/stage/id/node/dest/value/kind; id 0 means the event
-/// was recorded outside sampling (flight-only). `extra`, when given, is
-/// invoked after the header keys to append caller-owned top-level keys
-/// (the Cluster injects its membership/degraded-mode block this way — this
-/// layer cannot see runtime types).
+/// Events carry ts_ns/stage/id/node/dest/value/kind. A message-stage event
+/// with id 0 is a flight-only summary of one GPU-queue slot (enqueue,
+/// aggregate) or one batch (flush, wire-send, deliver, resolve): `value`
+/// is the number of messages it covers, `kind` the first message's
+/// command, and `dest` the batch's destination (0 for slot summaries,
+/// which span destinations). A nonzero id is one sampled message, with its
+/// heap address in `value`. kGauge events carry the gauge id and sample.
+/// `extra`, when given, is invoked after the header keys to append
+/// caller-owned top-level keys (the Cluster injects its
+/// membership/degraded-mode block this way — this layer cannot see runtime
+/// types).
 // gravel-analyze: cold
 inline void writeFlightRecorderJson(
     std::ostream& os, const FlightRecorder& rec, const std::string& reason,

@@ -50,14 +50,17 @@ inline const char* messageKindName(std::uint8_t kind) noexcept {
 }
 
 /// One recorded event, 32 bytes. For message stages `id` is the sampled
-/// trace ID (1..65535, or 0 for flight-recorder-only events when sampling
-/// is off) and `value` carries the symmetric-heap address (a cheap payload
-/// correlator); for kGauge `id` names the gauge and `value` is the sample.
+/// trace ID (1..65535) and `value` carries the symmetric-heap address (a
+/// cheap payload correlator) — or `id` is 0 for a flight-recorder-only
+/// summary of one GPU-queue slot or batch, whose `value` is the number of
+/// messages it covers (Tracer::recordBatch). For kGauge `id` names the
+/// gauge and `value` is the sample.
 /// `node` is 16 bits wide so Fig-12-style scaling runs past 256 nodes
 /// record unaliased ids (ClusterConfig::validate bounds nodes at 65536 to
 /// match). `aux` is the message's destination node for every message stage
-/// (deliver/resolve record at the destination itself). `kind` is the
-/// message's rt::Command, keying the latency-attribution histograms.
+/// (deliver/resolve record at the destination itself); slot summaries span
+/// destinations and carry 0. `kind` is the message's rt::Command, keying
+/// the latency-attribution histograms.
 struct TraceEvent {
   std::uint64_t ts_ns = 0;  ///< nanoseconds since the tracer's epoch
   std::uint64_t value = 0;

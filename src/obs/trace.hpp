@@ -16,9 +16,12 @@
 //
 // Layered on the same record sites (ISSUE 5):
 //   - the flight recorder (flight_recorder.hpp) keeps an always-on ring of
-//     the last N events per thread, independent of sampling — record sites
-//     gate on active() (= sampling enabled OR flight recording enabled) and
-//     pass id 0 for unsampled messages;
+//     the last N events per thread, independent of sampling. Unsampled
+//     traffic reaches it at slot/batch granularity only: each record site
+//     makes one recordBatch() call per GPU-queue slot or per batch (one
+//     clock read, id 0, value = messages covered), and runs its
+//     per-message recordStage() loop only when sampling is enabled, for
+//     stamped messages;
 //   - the latency-attribution engine (latency.hpp) consumes the sampled
 //     buffers incrementally and attributes p50/p99 to pipeline stages.
 //
@@ -26,9 +29,10 @@
 // trace_export.hpp; depth-gauge samples recorded here render as counter
 // tracks there.
 //
-// gravel-lint: hot-path — record()/recordStage() run on every traced
-// message; the two lock sites below are once-per-thread registration and
-// quiescent readers and carry individual allow() suppressions.
+// gravel-lint: hot-path — recordBatch() runs once per slot or batch and
+// recordStage() on every sampled message; the two lock sites below are
+// once-per-thread registration and quiescent readers and carry individual
+// allow() suppressions.
 #pragma once
 
 #include <algorithm>
@@ -105,12 +109,13 @@ struct TraceConfig {
   /// gauge duty of the monitor thread.
   std::chrono::microseconds gauge_period{0};
 
-  /// Always-on flight recorder: every record site also appends to a
-  /// bounded per-thread ring of the last `flightrec_events` events
-  /// (sampled or not — unsampled events carry id 0), dumped as
-  /// gravel_flightrec.json on quiet-deadline expiry, LinkFailureError, or
-  /// GRAVEL_FLIGHTREC_DUMP=1 exit. Costs ~2 relaxed atomic ops plus one
-  /// clock read per record; set false for overhead-free record sites.
+  /// Always-on flight recorder: a bounded per-thread ring of the last
+  /// `flightrec_events` events — one summary per GPU-queue slot or batch
+  /// (id 0, value = message count) plus every sampled message event —
+  /// dumped as gravel_flightrec.json on quiet-deadline expiry,
+  /// LinkFailureError, or GRAVEL_FLIGHTREC_DUMP=1 exit. Costs one clock
+  /// read and a few relaxed stores per record, i.e. per slot or batch, not
+  /// per message; set false for overhead-free record sites.
   bool flightrec = true;
   std::size_t flightrec_events = 2048;
 };
@@ -137,9 +142,8 @@ class Tracer {
 
   bool enabled() const noexcept { return enabled_; }
 
-  /// True when any record site should fire: sampled tracing, the flight
-  /// recorder, or both. Call sites guard their per-message loops on this
-  /// and pass traceId() (possibly 0) straight through.
+  /// True when any record call can land anywhere: sampled tracing, the
+  /// flight recorder, or both.
   bool active() const noexcept { return enabled_ || flight_.enabled(); }
 
   const TraceConfig& config() const noexcept { return config_; }
@@ -169,6 +173,8 @@ class Tracer {
 
   /// Records a message-stage event. id 0 is legal and means "not sampled":
   /// the event still reaches the flight recorder but never a TraceBuffer.
+  /// Record sites call this per message only when enabled(), and only for
+  /// stamped messages; unsampled traffic goes through recordBatch().
   void recordStage(Stage stage, std::uint32_t id, std::uint16_t node,
                    std::uint16_t dest, std::uint64_t value = 0,
                    std::uint8_t kind = 0) noexcept {
@@ -176,6 +182,16 @@ class Tracer {
     const TraceEvent e{nowNs(), value, id, node, dest, stage, kind};
     if (flight_.enabled()) flight_.record(e);
     if (enabled_ && id != 0) threadBuffer().record(e);
+  }
+
+  /// Flight-only summary of one GPU-queue slot or one batch: one clock read
+  /// and one ring slot with id 0 and value = `count`, the messages it
+  /// covers. Never reaches the sampled buffers, so latency attribution and
+  /// the Perfetto export are blind to it by construction.
+  void recordBatch(Stage stage, std::uint16_t node, std::uint16_t dest,
+                   std::uint64_t count, std::uint8_t kind) noexcept {
+    if (!flight_.enabled()) return;
+    flight_.record(TraceEvent{nowNs(), count, 0, node, dest, stage, kind});
   }
 
   /// Records a gauge sample (renders as a Perfetto counter track; also

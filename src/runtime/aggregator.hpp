@@ -204,14 +204,16 @@ class Aggregator {
     // The staging owns a copy: hand the slot back to producers before
     // taking any buffer locks.
     queue_.release(ref);
-    // active(), not enabled(): the flight recorder wants every message's
-    // aggregate event (id 0 = unsampled; recordStage keeps those out of
-    // the sampled buffers).
-    if (tracer_.active()) {
+    // One flight-recorder summary per slot; per-message events only for
+    // sampled messages.
+    tracer_.recordBatch(obs::Stage::kAggregate, std::uint16_t(self_), 0,
+                        msgs.size(), std::uint8_t(msgs.front().command()));
+    if (tracer_.enabled()) {
       for (const NetMessage& m : msgs)
-        tracer_.recordStage(obs::Stage::kAggregate, m.traceId(),
-                            std::uint16_t(self_), std::uint16_t(m.dest),
-                            m.addr, std::uint8_t(m.command()));
+        if (m.traceId() != 0)
+          tracer_.recordStage(obs::Stage::kAggregate, m.traceId(),
+                              std::uint16_t(self_), std::uint16_t(m.dest),
+                              m.addr, std::uint8_t(m.command()));
     }
     std::uint32_t dests;
     {
@@ -242,11 +244,15 @@ class Aggregator {
   /// batch order == append order).
   void onFlush(std::uint32_t dst, std::vector<NetMessage>&& batch) {
     obs::ScopedRegion flushRegion(prof_, obs::Region::kAggFlush);
-    if (tracer_.active()) {
+    tracer_.recordBatch(obs::Stage::kFlush, std::uint16_t(self_),
+                        std::uint16_t(dst), batch.size(),
+                        std::uint8_t(batch.front().command()));
+    if (tracer_.enabled()) {
       for (const NetMessage& m : batch)
-        tracer_.recordStage(obs::Stage::kFlush, m.traceId(),
-                            std::uint16_t(self_), std::uint16_t(dst), m.addr,
-                            std::uint8_t(m.command()));
+        if (m.traceId() != 0)
+          tracer_.recordStage(obs::Stage::kFlush, m.traceId(),
+                              std::uint16_t(self_), std::uint16_t(dst),
+                              m.addr, std::uint8_t(m.command()));
     }
     fabric_.send(self_, dst, std::move(batch));
   }

@@ -80,7 +80,26 @@ class NetworkThread {
     net::Delivery d;
     if (!fabric_.tryReceive(self_, d)) return false;
     obs::ScopedRegion recvRegion(prof_, obs::Region::kNetRecv);
-    for (const NetMessage& m : d.messages) resolve(ctx_, m);
+    // One flight-recorder summary on each side of the delivery loop;
+    // per-message deliver/resolve events only for sampled messages.
+    const std::uint16_t self = std::uint16_t(self_);
+    const std::uint8_t kind =
+        d.messages.empty() ? 0 : std::uint8_t(d.messages.front().command());
+    tracer_.recordBatch(obs::Stage::kDeliver, self, self, d.messages.size(),
+                        kind);
+    const bool sampled = tracer_.enabled();
+    for (const NetMessage& m : d.messages) {
+      const bool traced = sampled && m.traceId() != 0;
+      if (traced)
+        tracer_.recordStage(obs::Stage::kDeliver, m.traceId(), self, self,
+                            m.addr, std::uint8_t(m.command()));
+      resolve(ctx_, m);
+      if (traced)
+        tracer_.recordStage(obs::Stage::kResolve, m.traceId(), self, self,
+                            m.addr, std::uint8_t(m.command()));
+    }
+    tracer_.recordBatch(obs::Stage::kResolve, self, self, d.messages.size(),
+                        kind);
     fabric_.markResolved(self_, d);
     resolved_.fetch_add(d.messages.size(), std::memory_order_relaxed);
     return true;
@@ -88,13 +107,6 @@ class NetworkThread {
 
  private:
   void resolve(AmContext& ctx, const NetMessage& m) {
-    // active(), not enabled(): the flight recorder records every delivery
-    // (id 0 = unsampled), the sampled buffers only the stamped ones.
-    const bool traced = tracer_.active();
-    if (traced)
-      tracer_.recordStage(obs::Stage::kDeliver, m.traceId(),
-                          std::uint16_t(self_), std::uint16_t(self_), m.addr,
-                          std::uint8_t(m.command()));
     switch (m.command()) {
       case Command::kPut:
         heap_.storeU64(m.addr, m.value);
@@ -111,10 +123,6 @@ class NetworkThread {
         GRAVEL_CHECK_MSG(false, "control message escaped the fabric layer");
         break;
     }
-    if (traced)
-      tracer_.recordStage(obs::Stage::kResolve, m.traceId(),
-                          std::uint16_t(self_), std::uint16_t(self_), m.addr,
-                          std::uint8_t(m.command()));
   }
 
   std::uint32_t self_;

@@ -21,16 +21,17 @@ void NodeRuntime::enqueueGroup(simt::WorkItem& wi, const NetMessage& m,
 
   // Observability: sample this lane's message and stamp the trace ID into
   // the command word before the payload is written — from here the ID rides
-  // the wire format through every downstream stage for free.
+  // the wire format through every downstream stage for free. The flight
+  // recorder gets one summary per reserved slot from the leader below.
   NetMessage traced = m;
-  if (active && tracer_.active()) {
-    // maybeSample() returns 0 when sampling skips (or is off) — the flight
-    // recorder still gets the enqueue event, just with id 0.
+  if (active && tracer_.enabled()) {
     const std::uint32_t traceId = tracer_.maybeSample();
-    if (traceId != 0) traced.setTraceId(traceId);
-    tracer_.recordStage(obs::Stage::kEnqueue, traceId, std::uint16_t(id_),
-                        std::uint16_t(m.dest), m.addr,
-                        std::uint8_t(m.command()));
+    if (traceId != 0) {
+      traced.setTraceId(traceId);
+      tracer_.recordStage(obs::Stage::kEnqueue, traceId, std::uint16_t(id_),
+                          std::uint16_t(m.dest), m.addr,
+                          std::uint8_t(m.command()));
+    }
   }
 
   GravelQueue::SlotRef ref{};
@@ -42,6 +43,8 @@ void NodeRuntime::enqueueGroup(simt::WorkItem& wi, const NetMessage& m,
     // while the ring is full lets sibling groups and the aggregator run.
     ref = queue_.acquireWrite(count, &simt::Device::yieldLane);
     packed = packRef(ref);
+    tracer_.recordBatch(obs::Stage::kEnqueue, std::uint16_t(id_), 0, count,
+                        std::uint8_t(m.command()));
   }
   // Broadcast the slot handle (reduce-to-sum with non-leaders submitting 0,
   // exactly how Figure 5b broadcasts Qoff). When no lane is active there is

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 
+#include "common/stats.hpp"
 #include "net/dead_letter.hpp"
 #include "net/fabric.hpp"
 #include "obs/trace.hpp"
@@ -21,14 +22,14 @@
 namespace gravel::rt {
 
 /// Device-side operation counters; single-writer (the node's GPU scheduler
-/// thread), read after launches.
+/// thread), read concurrently by metric windows and runStats() mid-kernel.
 struct NodeOpStats {
-  std::uint64_t put_local = 0;   ///< PUTs resolved by a direct GPU store
-  std::uint64_t put_remote = 0;  ///< PUTs shipped through the aggregator
-  std::uint64_t inc_local = 0;   ///< local atomics (still serialized via NI)
-  std::uint64_t inc_remote = 0;
-  std::uint64_t am_local = 0;
-  std::uint64_t am_remote = 0;
+  SingleWriterCounter put_local;   ///< PUTs resolved by a direct GPU store
+  SingleWriterCounter put_remote;  ///< PUTs shipped through the aggregator
+  SingleWriterCounter inc_local;   ///< local atomics (still serialized via NI)
+  SingleWriterCounter inc_remote;
+  SingleWriterCounter am_local;
+  SingleWriterCounter am_remote;
 
   std::uint64_t total() const {
     return put_local + put_remote + inc_local + inc_remote + am_local +

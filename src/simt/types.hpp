@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "common/stats.hpp"
+
 namespace gravel::simt {
 
 /// Hardware shape of a simulated GPU (paper Table 3: 8 CUs, 64-lane
@@ -28,18 +30,19 @@ struct LaunchConfig {
 };
 
 /// Execution statistics accumulated across launches; read by the cost model.
-/// Plain integers: every field is written only by the device's scheduler
-/// thread and read after launches complete.
+/// Every field is written only by the device's scheduler thread; readers
+/// (runStats() while a kernel runs, the cost model after it) may be
+/// concurrent, hence SingleWriterCounter.
 struct DeviceStats {
-  std::uint64_t kernels_launched = 0;
-  std::uint64_t workgroups_executed = 0;
-  std::uint64_t lanes_executed = 0;
-  std::uint64_t collective_ops = 0;       ///< completed WG/fbar collectives
-  std::uint64_t collective_arrivals = 0;  ///< per-lane arrivals at collectives
-  std::uint64_t active_arrivals = 0;      ///< arrivals with active == true
-  std::uint64_t fiber_switches = 0;
-  std::uint64_t predication_overhead_ops = 0;  ///< bumped by predicated apps
-  std::uint64_t scratchpad_high_water = 0;     ///< max bytes used by one WG
+  SingleWriterCounter kernels_launched;
+  SingleWriterCounter workgroups_executed;
+  SingleWriterCounter lanes_executed;
+  SingleWriterCounter collective_ops;  ///< completed WG/fbar collectives
+  SingleWriterCounter collective_arrivals;  ///< per-lane collective arrivals
+  SingleWriterCounter active_arrivals;      ///< arrivals with active == true
+  SingleWriterCounter fiber_switches;
+  SingleWriterCounter predication_overhead_ops;  ///< bumped by predicated apps
+  SingleWriterCounter scratchpad_high_water;     ///< max bytes used by one WG
 
   /// Fraction of collective arrivals that carried real (active) work; the
   /// §8.2 experiments are about pushing this toward 1.0.

@@ -61,8 +61,8 @@ std::uint64_t WorkGroupState::collective(std::uint32_t lane, CollectiveOp op,
                        "scratchpad overflow");
       site.overrideResults(domain, scratchOffset_);
       scratchOffset_ += bytes;
-      stats_.scratchpad_high_water =
-          std::max(stats_.scratchpad_high_water, scratchOffset_);
+      stats_.scratchpad_high_water = std::max<std::uint64_t>(
+          stats_.scratchpad_high_water, scratchOffset_);
     }
     ++stats_.collective_ops;
     wake(domain);

@@ -527,6 +527,87 @@ TEST(FlightRec, TracerRecordsUnsampledEventsToFlightRingOnly) {
   EXPECT_FALSE(t2.active());  // both layers off: record sites fully dark
 }
 
+TEST(FlightRec, SnapshotUnderALiveWriterReturnsIntactContiguousEvents) {
+  // A small ring lapped constantly by a live writer: every snapshot must
+  // hold whole events (value == ts_ns, both written as the record index)
+  // with contiguous indices — a slot the writer overwrote mid-copy is
+  // dropped, never returned torn.
+  obs::FlightRing ring(16);
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    TraceEvent e{};
+    for (std::uint64_t i = 1; !stop.load(std::memory_order_relaxed); ++i) {
+      e.value = i;
+      e.ts_ns = i;
+      ring.record(e);
+    }
+  });
+  while (ring.recorded() < 16 * ring.capacity()) std::this_thread::yield();
+  // Checks fold into flags so the writer is always joined before asserting.
+  std::uint64_t events = 0, torn = 0, gaps = 0;
+  std::size_t largest = 0;
+  for (int round = 0; round < 20000 && torn + gaps == 0; ++round) {
+    const std::vector<TraceEvent> snap = ring.snapshot();
+    largest = std::max(largest, snap.size());
+    for (std::size_t k = 0; k < snap.size(); ++k) {
+      if (snap[k].value != snap[k].ts_ns) ++torn;
+      if (k > 0 && snap[k].value != snap[k - 1].value + 1) ++gaps;
+    }
+    events += snap.size();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  EXPECT_EQ(torn, 0u) << "torn events returned";
+  EXPECT_EQ(gaps, 0u) << "non-contiguous indices returned";
+  EXPECT_LE(largest, ring.capacity());
+  EXPECT_GT(events, 0u);
+}
+
+TEST(FlightRec, UnsampledTrafficIsRecordedOncePerSlotAndPerBatch) {
+  // Sampling off, flight recorder on, rings too large to wrap: every
+  // message-stage event is an id-0 summary of one GPU-queue slot or one
+  // batch, and the summaries' values add up to the pipeline's counters.
+  rt::ClusterConfig c = tracedConfig();
+  c.obs.enabled = false;
+  c.obs.flightrec_events = std::size_t(1) << 16;
+  rt::Cluster cluster(c);
+  runTracedWorkload(cluster);
+  const rt::ClusterRunStats s = cluster.runStats();
+
+  std::uint64_t events[obs::kMessageStages] = {};
+  std::uint64_t values[obs::kMessageStages] = {};
+  std::uint64_t gpuEnqueues = 0;
+  for (const auto* t : cluster.tracer().flightRecorder().threads()) {
+    ASSERT_LE(t->ring.recorded(), t->ring.capacity()) << t->name();
+    for (const TraceEvent& e : t->ring.snapshot()) {
+      if (e.stage == Stage::kGauge) continue;
+      EXPECT_EQ(e.id, 0u);
+      EXPECT_GE(e.value, 1u);
+      ++events[int(e.stage)];
+      values[int(e.stage)] += e.value;
+      if (e.stage == Stage::kEnqueue && t->name().rfind("gpu.", 0) == 0)
+        ++gpuEnqueues;
+    }
+  }
+
+  std::uint64_t slots = 0, routed = 0;
+  for (std::uint32_t n = 0; n < c.nodes; ++n) {
+    slots += cluster.node(n).queue().reservedCount();
+    routed += cluster.node(n).aggregator().messagesRouted();
+  }
+  const int enq = int(Stage::kEnqueue);
+  EXPECT_EQ(gpuEnqueues, events[enq]);
+  EXPECT_EQ(events[enq], slots);
+  EXPECT_EQ(values[enq], s.inc_local + s.inc_remote);
+  EXPECT_EQ(values[int(Stage::kAggregate)], routed);
+  for (Stage st : {Stage::kFlush, Stage::kWireSend, Stage::kDeliver,
+                   Stage::kResolve}) {
+    EXPECT_EQ(events[int(st)], s.net_batches) << obs::stageName(st);
+    EXPECT_EQ(values[int(st)], s.net_messages) << obs::stageName(st);
+  }
+  EXPECT_GT(s.net_batches, 0u);
+}
+
 // --- GRAVEL_TRACE_SAMPLE ---------------------------------------------------
 
 TEST(Trace, SampleIntervalEnvOverridesConfig) {
@@ -1575,12 +1656,13 @@ TEST(Lockprof, NamedMutexCountsAcquisitionsAndContendedWaits) {
 
 TEST(Lockprof, SitesDeduplicateByContentAndUnnamedMutexesStayInvisible) {
   LockprofWindow window;
-  // Same site name through two distinct string objects: content dedup must
-  // fold them into one row.
-  const std::string a = "test.lockprof.dedup";
-  const std::string b = "test.lockprof.dedup";
-  gravel::mutex m1{a.c_str()};
-  gravel::mutex m2{b.c_str()};
+  // Same site name through two distinct arrays: content dedup must fold
+  // them into one row. Static storage, because the process-global site
+  // table keeps the name pointer after this test returns.
+  static const char a[] = "test.lockprof.dedup";
+  static const char b[] = "test.lockprof.dedup";
+  gravel::mutex m1{a};
+  gravel::mutex m2{b};
   m1.lock();
   m1.unlock();
   m2.lock();
