@@ -12,10 +12,10 @@ bench-specific invariants — including the slot-batched aggregator's
 lock-discipline guarantee (lock acquisitions per slot <= distinct
 destinations per slot; see DESIGN.md section 9).
 
-Summary schema (schema_version 3; version-1/2 files still validate):
+Summary schema (schema_version 4, the only version --check accepts):
 
   {
-    "schema_version": 3,
+    "schema_version": 4,
     "bench": "fig8",                  # harness name
     "source": "fig8_queue_tput",      # BenchJson name / binary suffix
     "generated_by": "bench/run_benches.py",
@@ -30,20 +30,17 @@ Summary schema (schema_version 3; version-1/2 files still validate):
                , "name_col": "string"}, ... ]       # string cells verbatim
   }
 
-Schema v2 adds per-stage latency-attribution columns to table5 rows
-(sourced from the obs latency engine, nanoseconds): lat_samples,
-lat_e2e_p50_ns / lat_e2e_p99_ns, and a lat_p50_ns_<transition> /
-lat_p99_ns_<transition> pair for each pipeline transition
-(enqueue_to_aggregate ... deliver_to_resolve). Schema v3 adds the
-serving-oriented time-series columns (windowed collector, src/obs/
-timeseries.hpp): ts_windows, ts_msgs_per_s_p50, ts_msgs_per_s_peak.
-Schema v4 adds the continuous-profiler columns (src/obs/profiler.hpp,
-DESIGN.md section 15): fig8 rows carry gravel_gbs_prof (the same queue
-measured with profiling enabled — the overhead evidence), and table5 rows
-carry cpu_ns_per_msg (attributed busy ns per resolved network message)
-and lock_wait_share (named-mutex wait time as a share of busy time). The
-reader is backward-compatible: --check accepts v1..v3 files and skips the
-newer-version requirements.
+table5 rows carry per-stage latency-attribution columns (sourced from the
+obs latency engine, nanoseconds): lat_samples, lat_e2e_p50_ns /
+lat_e2e_p99_ns, and a lat_p50_ns_<transition> / lat_p99_ns_<transition>
+pair for each pipeline transition (enqueue_to_aggregate ...
+deliver_to_resolve); the serving-oriented time-series columns (windowed
+collector, src/obs/timeseries.hpp): ts_windows, ts_msgs_per_s_p50,
+ts_msgs_per_s_peak; and the continuous-profiler columns (src/obs/
+profiler.hpp, DESIGN.md section 15): cpu_ns_per_msg (attributed busy ns
+per resolved network message) and lock_wait_share (named-mutex wait time
+as a share of busy time). fig8 rows carry gravel_gbs_prof (the same queue
+measured with profiling enabled — the overhead evidence).
 
 Modes:
   (default)       full-size run, 3 repeats
@@ -63,8 +60,6 @@ import tempfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA_VERSION = 4
-# Versions --check still accepts; new summaries are always SCHEMA_VERSION.
-ACCEPTED_SCHEMA_VERSIONS = {1, 2, 3, 4}
 
 # Pipeline transitions the latency-attribution engine reports, matching
 # obs::transitionLabel (src/obs/latency.hpp).
@@ -229,9 +224,9 @@ def validate_structure(doc):
     for key in ("schema_version", "bench", "source", "generated_by", "mode",
                 "repeats", "machine", "config", "meta", "rows"):
         require(key in doc, f"missing top-level key '{key}'")
-    require(doc["schema_version"] in ACCEPTED_SCHEMA_VERSIONS,
-            f"schema_version {doc['schema_version']} not in "
-            f"{sorted(ACCEPTED_SCHEMA_VERSIONS)}")
+    require(doc["schema_version"] == SCHEMA_VERSION,
+            f"schema_version {doc['schema_version']} is not "
+            f"{SCHEMA_VERSION}")
     require(doc["bench"] in BENCHES, f"unknown bench '{doc['bench']}'")
     require(doc["source"] == BENCHES[doc["bench"]],
             f"source '{doc['source']}' does not match bench '{doc['bench']}'")
@@ -269,23 +264,22 @@ def validate_fig8(doc):
                 f"fig8 row {i}: msg_bytes must be positive")
         require(cell_median(row, "gravel_gbs") > 0,
                 f"fig8 row {i}: gravel queue measured zero throughput")
-        if doc["schema_version"] >= 4:
-            # Profiler-overhead evidence: the profiled measurement ran and
-            # is the same order of magnitude as the plain one. The tight
-            # within-a-few-percent claim is made from full-length local runs
-            # (DESIGN.md section 15); short smoke windows on loaded CI hosts
-            # are too noisy for a 3% gate, so the structural check here only
-            # rejects collapse (profiling costing more than half the
-            # throughput would be a real regression at any window length).
-            prof = cell_median(row, "gravel_gbs_prof")
-            plain = cell_median(row, "gravel_gbs")
-            require(prof > 0,
-                    f"fig8 row {i}: profiled gravel queue measured zero "
-                    "throughput")
-            require(prof >= 0.5 * plain,
-                    f"fig8 row {i}: profiling collapsed throughput "
-                    f"({prof} vs {plain} GB/s — continuous profiler is no "
-                    "longer cheap on the produce path)")
+        # Profiler-overhead evidence: the profiled measurement ran and is
+        # the same order of magnitude as the plain one. The tight
+        # within-a-few-percent claim is made from full-length local runs
+        # (DESIGN.md section 15); short smoke windows on loaded CI hosts are
+        # too noisy for a 3% gate, so the structural check here only
+        # rejects collapse (profiling costing more than half the throughput
+        # would be a real regression at any window length).
+        prof = cell_median(row, "gravel_gbs_prof")
+        plain = cell_median(row, "gravel_gbs")
+        require(prof > 0,
+                f"fig8 row {i}: profiled gravel queue measured zero "
+                "throughput")
+        require(prof >= 0.5 * plain,
+                f"fig8 row {i}: profiling collapsed throughput "
+                f"({prof} vs {plain} GB/s — continuous profiler is no "
+                "longer cheap on the produce path)")
 
 
 def validate_agg_lock_discipline(row, where, locks_key, dests_key):
@@ -389,16 +383,13 @@ def validate_table5(doc):
         validate_agg_lock_discipline(
             row, f"table5 row {i} ({row['workload']})",
             "agg_locks_per_slot", "agg_dests_per_slot")
-        if doc["schema_version"] >= 2:
-            validate_table5_latency(row, i)
-        if doc["schema_version"] >= 3:
-            validate_table5_timeseries(row, i)
-        if doc["schema_version"] >= 4:
-            validate_table5_profiler(row, i)
+        validate_table5_latency(row, i)
+        validate_table5_timeseries(row, i)
+        validate_table5_profiler(row, i)
 
 
 def validate_table5_latency(row, i):
-    """Schema-v2 per-stage latency columns: present, ordered, sampled."""
+    """Per-stage latency columns: present, ordered, sampled."""
     where = f"table5 row {i} ({row.get('workload', '?')})"
     require(cell_median(row, "lat_samples") > 0,
             f"{where}: traced bench run attributed no latency samples")
@@ -414,7 +405,7 @@ def validate_table5_latency(row, i):
 
 
 def validate_table5_timeseries(row, i):
-    """Schema-v3 serving columns: the windowed collector really collected,
+    """Serving columns: the windowed collector really collected,
     and the rate roll-up is internally consistent (peak >= sustained >= 0)."""
     where = f"table5 row {i} ({row.get('workload', '?')})"
     require(cell_median(row, "ts_windows") >= 1,
@@ -429,7 +420,7 @@ def validate_table5_timeseries(row, i):
 
 
 def validate_table5_profiler(row, i):
-    """Schema-v4 CPU-efficiency columns from the continuous profiler: the
+    """CPU-efficiency columns from the continuous profiler: the
     traced run attributed cycles, and the derived ratios are sane. Absolute
     values are host-dependent, so only structural invariants are gated."""
     where = f"table5 row {i} ({row.get('workload', '?')})"

@@ -15,6 +15,10 @@
 //   stat       RunningStat moments (count/sum/min/max/mean)
 //   histogram  Pow2Histogram buckets; delta() subtracts per bucket
 //
+// The kind decides how a value windows: Cluster::runStats() and the time-
+// series collector both read delta()s, so a level published as a counter
+// would be reported as a difference of levels. Levels are gauges.
+//
 // Collection cost must scale with traffic, not topology: publishers that
 // walk per-destination or per-link state (the aggregator's lazy-buffer
 // gauges `agg.lazy_buffers`/`agg.resident_bytes`, the fabric's link
@@ -81,14 +85,18 @@ class MetricsSnapshot {
   /// Counter value / gauge level / stat mean, or 0 when absent.
   double number(const std::string& name, const std::string& labels = "") const {
     const MetricValue* m = find(name, labels);
-    if (!m) return 0.0;
-    switch (m->kind) {
-      case MetricKind::kCounter: return double(m->count);
-      case MetricKind::kGauge: return m->value;
-      case MetricKind::kStat: return m->mean();
-      case MetricKind::kHistogram: return double(m->count);
-    }
-    return 0.0;
+    return m ? numberOf(*m) : 0.0;
+  }
+
+  /// number() summed over every label row of `name` (per-node rows roll up
+  /// to a cluster total), or 0 when absent. Reads only the name's own key
+  /// range, so the cost is the name's row count, not the snapshot size.
+  double sum(const std::string& name) const {
+    return fold(name, [](double a, double b) { return a + b; });
+  }
+  /// Same, combining rows with max (per-node high-water marks).
+  double max(const std::string& name) const {
+    return fold(name, [](double a, double b) { return std::max(a, b); });
   }
 
   /// This snapshot relative to `base`: counters and histogram buckets
@@ -179,6 +187,26 @@ class MetricsSnapshot {
       os << ',' << (m.count ? m.min : 0.0) << ',' << (m.count ? m.max : 0.0)
          << '\n';
     }
+  }
+
+ private:
+  static double numberOf(const MetricValue& m) {
+    switch (m.kind) {
+      case MetricKind::kCounter: return double(m.count);
+      case MetricKind::kGauge: return m.value;
+      case MetricKind::kStat: return m.mean();
+      case MetricKind::kHistogram: return double(m.count);
+    }
+    return 0.0;
+  }
+
+  template <typename Op>
+  double fold(const std::string& name, Op op) const {
+    double acc = 0.0;
+    for (auto it = metrics.lower_bound({name, std::string()});
+         it != metrics.end() && it->first.first == name; ++it)
+      acc = op(acc, numberOf(it->second));
+    return acc;
   }
 };
 

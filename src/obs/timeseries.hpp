@@ -186,6 +186,17 @@ class TimeSeries {
     return {ring_.end() - std::ptrdiff_t(take), ring_.end()};
   }
 
+  /// Per-window rate of `name` over the retained windows that have a
+  /// positive length, oldest first, without copying the window snapshots.
+  std::vector<double> ratesPerSec(const std::string& name) const {
+    gravel::lock_guard lk(mutex_);
+    std::vector<double> rates;
+    rates.reserve(ring_.size());
+    for (const TimeSeriesWindow& w : ring_)
+      if (w.seconds() > 0) rates.push_back(w.ratePerSec(name));
+    return rates;
+  }
+
   std::uint64_t droppedWindows() const {
     gravel::lock_guard lk(mutex_);
     return dropped_;

@@ -38,11 +38,7 @@ bool envTruthy(const char* name) {
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
       tracer_(config.obs),
-      allocator_(config.heap_bytes),
-      resolvedBase_(config.nodes, 0),
-      opBase_(config.nodes),
-      devBase_(config.nodes),
-      aggBase_(config.nodes) {
+      allocator_(config.heap_bytes) {
   // Degenerate configurations (zero-capacity per-node queues, zero
   // aggregator threads, zero-size GPU queue, ...) fail here with an
   // actionable message instead of misbehaving deep in the pipeline.
@@ -414,9 +410,8 @@ void Cluster::quietDeadlineExpired(const char* stage) {
          << membership_->epoch(n) << ") — its traffic dead-letters instead "
          << "of completing; this deadline expiry is about the remaining "
          << "live links";
-    const net::DeadLetterStats d = dlq_->stats();
-    if (d.rejected != 0)
-      os << "; admission control rejected " << d.rejected
+    if (const auto rejected = std::uint64_t(snap.number("dlq.rejected")))
+      os << "; admission control rejected " << rejected
          << " operation(s) at enqueue";
   }
   // The watchdog has been sampling all along: its diagnoses say *which*
@@ -466,60 +461,58 @@ void Cluster::quiet() {
   }
 }
 
-ClusterRunStats Cluster::runStats() const {
+ClusterRunStats Cluster::runStats() {
+  const obs::MetricsSnapshot now = collectMetrics();
+  const obs::MetricsSnapshot win = now.delta(statsBase_);
+  const auto total = [&win](const char* name) {
+    return std::uint64_t(win.sum(name));
+  };
   ClusterRunStats s;
   s.nodes = config_.nodes;
-  for (std::uint32_t i = 0; i < config_.nodes; ++i) {
-    const NodeOpStats& op = nodes_[i]->opStats();
-    const NodeOpStats& ob = opBase_[i];
-    s.put_local += op.put_local - ob.put_local;
-    s.put_remote += op.put_remote - ob.put_remote;
-    s.inc_local += op.inc_local - ob.inc_local;
-    s.inc_remote += op.inc_remote - ob.inc_remote;
-    s.am_local += op.am_local - ob.am_local;
-    s.am_remote += op.am_remote - ob.am_remote;
+  s.put_local = total("ops.put_local");
+  s.put_remote = total("ops.put_remote");
+  s.inc_local = total("ops.inc_local");
+  s.inc_remote = total("ops.inc_remote");
+  s.am_local = total("ops.am_local");
+  s.am_remote = total("ops.am_remote");
 
-    const simt::DeviceStats& d = nodes_[i]->device().stats();
-    const simt::DeviceStats& db = devBase_[i];
-    s.lanes_executed += d.lanes_executed - db.lanes_executed;
-    s.workgroups_executed += d.workgroups_executed - db.workgroups_executed;
-    s.collective_ops += d.collective_ops - db.collective_ops;
-    s.collective_arrivals += d.collective_arrivals - db.collective_arrivals;
-    s.active_arrivals += d.active_arrivals - db.active_arrivals;
-    s.predication_overhead_ops +=
-        d.predication_overhead_ops - db.predication_overhead_ops;
+  s.lanes_executed = total("device.lanes_executed");
+  s.workgroups_executed = total("device.workgroups_executed");
+  s.collective_ops = total("device.collective_ops");
+  s.collective_arrivals = total("device.collective_arrivals");
+  s.active_arrivals = total("device.active_arrivals");
+  s.predication_overhead_ops = total("device.predication_overhead_ops");
 
-    Aggregator& agg = nodes_[i]->aggregator();
-    const AggBase& ab = aggBase_[i];
-    s.agg_slots += agg.slotsProcessedStat() - ab.slots;
-    s.agg_lock_acquisitions += agg.lockAcquisitions() - ab.locks;
-    s.agg_dests_touched += agg.destsTouched() - ab.dests;
-    s.agg_timeout_scanned += agg.timeoutScanned() - ab.timeout_scanned;
-    // Levels, not windowed deltas: resident footprint is a gauge and the
-    // staging peak a high-water mark (merge() takes the max of both).
-    s.agg_lazy_buffers += agg.lazyBuffers();
-    s.agg_resident_bytes += agg.residentBufferBytes();
-    s.agg_staging_bytes_peak =
-        std::max(s.agg_staging_bytes_peak, agg.stagingBytesPeak());
+  s.agg_slots = total("agg.slots_processed");
+  s.agg_lock_acquisitions = total("agg.lock_acquisitions");
+  s.agg_dests_touched = total("agg.dests_touched");
+  s.agg_timeout_scanned = total("agg.timeout_scanned");
+  s.agg_lazy_buffers = total("agg.lazy_buffers");
+  s.agg_resident_bytes = total("agg.resident_bytes");
+  s.agg_staging_bytes_peak = std::uint64_t(win.max("agg.staging_peak_bytes"));
+  s.net_resolved = total("net.messages_resolved");
 
-    s.net_resolved += nodes_[i]->network().messagesResolved() -
-                      resolvedBase_[i];
-  }
-  const net::LinkStats t = fabric_->total();
-  s.net_batches = t.batches - fabricBase_.batches;
-  s.net_messages = t.messages - fabricBase_.messages;
-  s.net_bytes = t.bytes - fabricBase_.bytes;
-  s.retransmits = t.retransmits - fabricBase_.retransmits;
-  s.dup_drops = t.dup_drops - fabricBase_.dup_drops;
-  s.acks = t.acks - fabricBase_.acks;
-  const net::ReliabilityStats r = fabric_->reliabilityStats();
-  s.acks_sent = r.acks_sent - relBase_.acks_sent;
-  s.reorder_drops = r.reorder_drops - relBase_.reorder_drops;
-  s.reorder_peak = r.reorder_peak;  // high-water mark, not a delta
-  s.breaker_trips = r.breaker_trips - relBase_.breaker_trips;
-  s.probes = r.probes - relBase_.probes;
-  s.stale_data_drops = r.stale_data_drops - relBase_.stale_data_drops;
-  s.stale_ack_drops = r.stale_ack_drops - relBase_.stale_ack_drops;
+  s.net_batches = total("fabric.batches");
+  s.net_messages = total("fabric.messages");
+  s.net_bytes = total("fabric.bytes");
+  s.avg_batch_bytes = win.number("fabric.batch_bytes");  // window mean
+  s.retransmits = total("fabric.retransmits");
+  s.dup_drops = total("fabric.dup_drops");
+  s.acks = total("fabric.acks");
+  s.acks_sent = total("rel.acks_sent");
+  s.reorder_drops = total("rel.reorder_drops");
+  s.reorder_peak = total("rel.reorder_peak");
+  s.breaker_trips = total("rel.breaker_trips");
+  s.probes = total("rel.probes");
+  s.stale_data_drops = total("rel.stale_data_drops");
+  s.stale_ack_drops = total("rel.stale_ack_drops");
+  s.injected_drops = total("fault.drops") + total("fault.partition_drops");
+  s.injected_dups = total("fault.duplicates");
+
+  s.degraded.dead_lettered = total("dlq.dead_lettered");
+  s.degraded.redelivered = total("dlq.redelivered");
+  s.degraded.rejected = total("dlq.rejected");
+  s.degraded.evicted = total("dlq.evicted");
   if (membership_) {
     for (std::uint32_t n : membership_->deadNodes())
       s.degraded.dead_nodes.push_back({n, membership_->epoch(n)});
@@ -531,88 +524,32 @@ ClusterRunStats Cluster::runStats() const {
       if (b.state != net::BreakerState::kClosed)
         s.degraded.tripped_links.push_back(
             {b.src, b.dst, std::uint8_t(b.state), b.era});
-    const net::DeadLetterStats d = dlq_->stats();
-    s.degraded.dead_lettered = d.dead_lettered - dlqBase_.dead_lettered;
-    s.degraded.redelivered = d.redelivered - dlqBase_.redelivered;
-    s.degraded.rejected = d.rejected - dlqBase_.rejected;
-    s.degraded.evicted = d.evicted - dlqBase_.evicted;
-  }
-  const net::FaultStats f = fabric_->faultStats();
-  s.injected_drops =
-      (f.drops + f.partition_drops) - (faultBase_.drops +
-                                       faultBase_.partition_drops);
-  s.injected_dups = f.duplicates - faultBase_.duplicates;
-  const RunningStat b = fabric_->batchSizeBytes();
-  // Window mean from cumulative sums.
-  const double cnt = double(b.count()) - double(batchBase_.count());
-  s.avg_batch_bytes = cnt > 0 ? (b.sum() - batchBase_.sum()) / cnt : 0.0;
-
-  // Latency attribution over the sampled messages. Histograms are
-  // cumulative over the cluster's lifetime (quantiles cannot be windowed
-  // the way the counters above are); benches that want per-workload numbers
-  // build a fresh cluster per workload.
-  {
-    gravel::lock_guard lk(latencyMutex_);
-    latency_.ingest(tracer_);
-    const obs::LatencyAttribution::Summary ls = latency_.summary();
-    for (int t = 0; t < ClusterRunStats::kLatTransitions; ++t) {
-      s.lat_stage_p50_ns[t] = ls.stage_p50_ns[t];
-      s.lat_stage_p99_ns[t] = ls.stage_p99_ns[t];
-    }
-    s.lat_e2e_p50_ns = ls.e2e_p50_ns;
-    s.lat_e2e_p99_ns = ls.e2e_p99_ns;
-    s.lat_samples = ls.e2e_count;
   }
 
-  // Profiler roll-up (cluster-lifetime, like the quantiles above): summed
-  // duty split plus the named-mutex contention totals behind the bench
-  // harness's CPU-efficiency columns.
-  if (profiler_.enabled()) {
-    for (const obs::Profiler::ThreadSample& t : profiler_.sample()) {
-      s.prof_busy_ns += t.busy_ns;
-      s.prof_idle_ns += t.idle_ns;
-    }
-    lockprof::forEachSite([&s](const lockprof::SiteSample& site) {
-      s.prof_lock_wait_ns += site.wait_ns_total;
-      s.prof_lock_acquisitions += site.acquisitions;
-    });
+  // Cluster-lifetime values: read from the current snapshot, not the window.
+  for (int t = 0; t < ClusterRunStats::kLatTransitions; ++t) {
+    const std::string stage = "stage=" + obs::transitionLabel(t);
+    s.lat_stage_p50_ns[t] = now.number("lat.stage_p50_ns", stage);
+    s.lat_stage_p99_ns[t] = now.number("lat.stage_p99_ns", stage);
   }
+  s.lat_e2e_p50_ns = now.number("lat.e2e_p50_ns");
+  s.lat_e2e_p99_ns = now.number("lat.e2e_p99_ns");
+  s.lat_samples = std::uint64_t(now.number("lat.e2e_ns"));
 
-  // Time-series roll-up: sustained (median-window) vs. peak message rate
-  // over the retained ring. Like the quantiles above, these are ring-
-  // lifetime values rather than windowed by resetStats().
-  if (timeseries_) {
-    const std::vector<obs::TimeSeriesWindow> wins = timeseries_->windows();
-    std::vector<double> rates;
-    rates.reserve(wins.size());
-    for (const obs::TimeSeriesWindow& w : wins)
-      if (w.seconds() > 0) rates.push_back(w.ratePerSec("fabric.messages"));
-    s.ts_windows = wins.size();
-    if (!rates.empty()) {
-      std::sort(rates.begin(), rates.end());
-      s.ts_msgs_per_s_p50 = rates[rates.size() / 2];
-      s.ts_msgs_per_s_peak = rates.back();
-    }
-  }
+  s.prof_busy_ns = std::uint64_t(now.sum("prof.busy_ns"));
+  s.prof_idle_ns = std::uint64_t(now.sum("prof.idle_ns"));
+  s.prof_lock_wait_ns = std::uint64_t(now.sum("prof.lock_wait_ns"));
+  s.prof_lock_acquisitions =
+      std::uint64_t(now.sum("prof.lock_acquisitions"));
+
+  s.ts_windows = std::uint64_t(now.number("ts.windows_total") -
+                               now.number("ts.dropped_windows"));
+  s.ts_msgs_per_s_p50 = now.number("ts.msgs_per_s_p50");
+  s.ts_msgs_per_s_peak = now.number("ts.msgs_per_s_peak");
   return s;
 }
 
-void Cluster::resetStats() {
-  for (std::uint32_t i = 0; i < config_.nodes; ++i) {
-    opBase_[i] = nodes_[i]->opStats();
-    devBase_[i] = nodes_[i]->device().stats();
-    Aggregator& agg = nodes_[i]->aggregator();
-    aggBase_[i] = {agg.slotsProcessedStat(), agg.lockAcquisitions(),
-                   agg.destsTouched(), agg.timeoutScanned()};
-  }
-  fabricBase_ = fabric_->total();
-  batchBase_ = fabric_->batchSizeBytes();
-  relBase_ = fabric_->reliabilityStats();
-  faultBase_ = fabric_->faultStats();
-  for (std::uint32_t i = 0; i < config_.nodes; ++i)
-    resolvedBase_[i] = nodes_[i]->network().messagesResolved();
-  if (dlq_) dlqBase_ = dlq_->stats();
-}
+void Cluster::resetStats() { statsBase_ = collectMetrics(); }
 
 // --- observability ---------------------------------------------------------
 
@@ -803,8 +740,8 @@ obs::MetricsSnapshot Cluster::collectMetrics() {
                         n.aggregator().destsTouched());
     metrics_.setCounter("agg.timeout_scanned", node,
                         n.aggregator().timeoutScanned());
-    metrics_.setCounter("agg.lazy_buffers", node,
-                        n.aggregator().lazyBuffers());
+    metrics_.setGauge("agg.lazy_buffers", node,
+                      double(n.aggregator().lazyBuffers()));
     metrics_.setGauge("agg.resident_bytes", node,
                       double(n.aggregator().residentBufferBytes()));
     metrics_.setGauge("agg.staging_peak_bytes", node,
@@ -812,6 +749,20 @@ obs::MetricsSnapshot Cluster::collectMetrics() {
     metrics_.setGauge("agg.shards", node, double(n.aggregator().shardCount()));
     metrics_.setCounter("net.messages_resolved", node,
                         n.network().messagesResolved());
+    const simt::DeviceStats& d = n.device().stats();
+    metrics_.setCounter("device.kernels_launched", node, d.kernels_launched);
+    metrics_.setCounter("device.workgroups_executed", node,
+                        d.workgroups_executed);
+    metrics_.setCounter("device.lanes_executed", node, d.lanes_executed);
+    metrics_.setCounter("device.collective_ops", node, d.collective_ops);
+    metrics_.setCounter("device.collective_arrivals", node,
+                        d.collective_arrivals);
+    metrics_.setCounter("device.active_arrivals", node, d.active_arrivals);
+    metrics_.setCounter("device.fiber_switches", node, d.fiber_switches);
+    metrics_.setCounter("device.predication_overhead_ops", node,
+                        d.predication_overhead_ops);
+    metrics_.setGauge("device.scratchpad_high_water", node,
+                      double(d.scratchpad_high_water));
   }
 
   // Fabric totals and per-link traffic (nonzero links only; app-level view).
@@ -890,6 +841,13 @@ obs::MetricsSnapshot Cluster::collectMetrics() {
                         "", timeseries_->size() + timeseries_->droppedWindows());
     metrics_.setCounter("ts.dropped_windows", "",
                         timeseries_->droppedWindows());
+    // Sustained (median-window) vs. peak message rate over the ring.
+    std::vector<double> rates = timeseries_->ratesPerSec("fabric.messages");
+    if (!rates.empty()) {
+      std::sort(rates.begin(), rates.end());
+      metrics_.setGauge("ts.msgs_per_s_p50", "", rates[rates.size() / 2]);
+      metrics_.setGauge("ts.msgs_per_s_peak", "", rates.back());
+    }
   }
 
   // Monitor-loop self-overhead: the sampling thread watching itself. An
@@ -1143,20 +1101,15 @@ void Cluster::writeStatusJson(std::ostream& os) {
   }
   w.endArray();
 
+  // Dead-letter accounting from the same snapshot (zeros under fail_fast).
   w.key("dead_letter").beginObject();
-  {
-    const net::DeadLetterStats d =
-        dlq_ ? dlq_->stats() : net::DeadLetterStats{};
-    w.kv("dead_lettered", d.dead_lettered);
-    w.kv("redelivered", d.redelivered);
-    w.kv("rejected", d.rejected);
-    w.kv("evicted", d.evicted);
-    w.kv("stored", d.stored);
-    w.key("stored_per_dest").beginArray();
-    if (dlq_)
-      for (std::uint64_t v : dlq_->storedPerDest()) w.value(v);
-    w.endArray();
-  }
+  for (const char* field :
+       {"dead_lettered", "redelivered", "rejected", "evicted", "stored"})
+    w.kv(field, std::uint64_t(snap.number(std::string("dlq.") + field)));
+  w.key("stored_per_dest").beginArray();
+  if (dlq_)
+    for (std::uint64_t v : dlq_->storedPerDest()) w.value(v);
+  w.endArray();
   w.endObject();
 
   // Latency percentile gauges (absent until any sampled message pairs).

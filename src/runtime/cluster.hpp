@@ -94,11 +94,16 @@ class Cluster {
   /// config.quiet_deadline expires before the cluster quiesces.
   void quiet();
 
-  /// Per-run traffic/operation roll-up; resetStats() starts a new window.
-  /// Under the degrade failure policy, `runStats().degraded` reports which
-  /// nodes/links were excised and the dead-letter accounting that closes
+  /// Per-run traffic/operation roll-up: a typed view over
+  /// collectMetrics().delta(snapshot taken by the last resetStats()), so
+  /// counters window by subtraction and gauges (residency, reorder_peak)
+  /// report their current level. Latency, profiler and time-series fields
+  /// are cluster-lifetime, read from the current snapshot. Under the
+  /// degrade failure policy, `runStats().degraded` reports which nodes/
+  /// links are excised and the dead-letter accounting that closes
   /// net_resolved + degraded.dead_lettered == net_messages for the window.
-  ClusterRunStats runStats() const;
+  ClusterRunStats runStats();
+  /// Starts a new runStats() window: takes the baseline snapshot.
   void resetStats();
 
   // --- graceful degradation (config.reliability.policy == kDegrade) -------
@@ -254,27 +259,12 @@ class Cluster {
 
   // Latency-attribution engine. Single-owner by design (no internal locks);
   // the mutex serializes the monitor thread's incremental ingest against
-  // collectMetrics()/runStats() readers. Mutable because runStats() is
-  // const but wants a fresh ingest.
-  mutable gravel::mutex latencyMutex_{"Cluster::latencyMutex_"};
-  mutable obs::LatencyAttribution latency_ GRAVEL_GUARDED_BY(latencyMutex_);
+  // collectMetrics() callers.
+  gravel::mutex latencyMutex_{"Cluster::latencyMutex_"};
+  obs::LatencyAttribution latency_ GRAVEL_GUARDED_BY(latencyMutex_);
 
-  // Snapshot baselines so runStats() reports per-window deltas.
-  net::LinkStats fabricBase_{};
-  RunningStat batchBase_{};
-  net::ReliabilityStats relBase_{};
-  net::FaultStats faultBase_{};
-  net::DeadLetterStats dlqBase_{};
-  std::vector<std::uint64_t> resolvedBase_;
-  std::vector<NodeOpStats> opBase_;
-  std::vector<simt::DeviceStats> devBase_;
-  struct AggBase {
-    std::uint64_t slots = 0;
-    std::uint64_t locks = 0;
-    std::uint64_t dests = 0;
-    std::uint64_t timeout_scanned = 0;
-  };
-  std::vector<AggBase> aggBase_;
+  /// resetStats()'s snapshot: the baseline runStats() takes its delta from.
+  obs::MetricsSnapshot statsBase_;
 };
 
 }  // namespace gravel::rt

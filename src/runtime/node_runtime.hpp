@@ -22,7 +22,7 @@
 namespace gravel::rt {
 
 /// Device-side operation counters; single-writer (the node's GPU scheduler
-/// thread), read concurrently by metric windows and runStats() mid-kernel.
+/// thread), read concurrently by collectMetrics() mid-kernel.
 struct NodeOpStats {
   SingleWriterCounter put_local;   ///< PUTs resolved by a direct GPU store
   SingleWriterCounter put_remote;  ///< PUTs shipped through the aggregator
@@ -30,17 +30,6 @@ struct NodeOpStats {
   SingleWriterCounter inc_remote;
   SingleWriterCounter am_local;
   SingleWriterCounter am_remote;
-
-  std::uint64_t total() const {
-    return put_local + put_remote + inc_local + inc_remote + am_local +
-           am_remote;
-  }
-  /// Table 5's "remote access frequency": operations whose destination is
-  /// another node.
-  double remoteFraction() const {
-    const std::uint64_t t = total();
-    return t ? double(put_remote + inc_remote + am_remote) / double(t) : 0.0;
-  }
 };
 
 class NodeRuntime {

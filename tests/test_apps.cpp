@@ -4,6 +4,9 @@
 // aggregator, fabric and network threads compose correctly.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <optional>
+
 #include "apps/color.hpp"
 #include "apps/gups.hpp"
 #include "apps/gups_mod.hpp"
@@ -257,6 +260,84 @@ TEST(GupsMod, WrongClusterModeIsRejected) {
   GupsModConfig cfg;
   EXPECT_THROW(runGupsMod(cluster, cfg, DivergedMode::kWgReconvergence),
                Error);
+}
+
+// --- Cross-mode differential ----------------------------------------------
+
+/// The runtime modes every workload must agree across: a fault-free wire
+/// and a faulty wire under the reliability layer, each with one runtime
+/// thread per unit (runtime_threads = 0) and on a two-thread shared pool.
+struct RuntimeMode {
+  const char* name;
+  std::uint32_t runtime_threads;
+  bool faulty;
+};
+constexpr RuntimeMode kRuntimeModes[] = {{"perfect", 0, false},
+                                         {"faulty+reliable", 0, true},
+                                         {"pool", 2, false},
+                                         {"pool+faulty+reliable", 2, true}};
+
+rt::ClusterConfig modeCluster(const RuntimeMode& mode) {
+  rt::ClusterConfig c = testCluster(4);
+  c.runtime_threads = mode.runtime_threads;
+  c.quiet_deadline = std::chrono::seconds(60);
+  if (mode.faulty) {
+    c.fault.seed = 7;
+    c.fault.drop_prob = 0.05;
+    c.fault.dup_prob = 0.05;
+    c.fault.reorder_prob = 0.25;
+    c.reliability.enabled = true;
+    c.reliability.rto_base = std::chrono::microseconds(500);
+    c.reliability.rto_max = std::chrono::microseconds(8000);
+  }
+  return c;
+}
+
+/// Same app-level traffic as the reference mode, and conservation
+/// (every message sent is resolved or dead-lettered) within the mode.
+void expectSameTraffic(const rt::ClusterRunStats& s,
+                       const rt::ClusterRunStats& ref) {
+  EXPECT_EQ(s.net_messages, ref.net_messages);
+  EXPECT_EQ(s.inc_remote, ref.inc_remote);
+  EXPECT_EQ(s.am_remote, ref.am_remote);
+  EXPECT_EQ(s.net_resolved + s.degraded.dead_lettered, s.net_messages);
+}
+
+TEST(CrossMode, GupsAndKmeansAgreeAcrossRuntimeModes) {
+  GupsConfig gupsCfg;
+  gupsCfg.table_size = 1 << 10;
+  gupsCfg.updates_per_node = 1 << 10;
+  KmeansConfig kmeansCfg;
+  kmeansCfg.points_per_node = 512;
+  kmeansCfg.iterations = 3;
+  kmeansCfg.clusters = 4;
+  kmeansCfg.dims = 3;
+
+  std::optional<AppReport> gupsRef;
+  std::optional<KmeansResult> kmeansRef;
+  for (const RuntimeMode& mode : kRuntimeModes) {
+    SCOPED_TRACE(mode.name);
+    rt::Cluster cluster(modeCluster(mode));
+    const AppReport gups = runGups(cluster, gupsCfg);
+    const KmeansResult kmeans = runKmeans(cluster, kmeansCfg);
+    EXPECT_TRUE(gups.validated);
+    EXPECT_TRUE(kmeans.report.validated);
+    EXPECT_GT(gups.stats.inc_remote, 0u);
+    EXPECT_GT(kmeans.report.stats.am_remote, 0u);
+    if (mode.faulty) {  // the wire really misbehaved
+      EXPECT_GT(gups.stats.injected_drops + kmeans.report.stats.injected_drops,
+                0u);
+    }
+    if (!gupsRef) {
+      gupsRef = gups;
+      kmeansRef = kmeans;
+    }
+    expectSameTraffic(gups.stats, gupsRef->stats);
+    expectSameTraffic(kmeans.report.stats, kmeansRef->report.stats);
+    // Point coordinates are multiples of 1/512, so the AM-accumulated
+    // centroid sums are exact in any arrival order: bitwise equality.
+    EXPECT_EQ(kmeans.centroids, kmeansRef->centroids);
+  }
 }
 
 }  // namespace

@@ -377,68 +377,6 @@ TEST(Trace, TraceIdRoundTripsThroughCmdWord) {
   EXPECT_EQ(m.command(), rt::Command::kPut);
 }
 
-// --- ClusterRunStats::merge ------------------------------------------------
-
-TEST(Stats, ClusterRunStatsMergeSemantics) {
-  rt::ClusterRunStats a;
-  a.nodes = 4;
-  a.put_remote = 10;
-  a.net_batches = 2;
-  a.net_messages = 20;
-  a.avg_batch_bytes = 100.0;
-  a.reorder_peak = 5;
-  rt::ClusterRunStats b;
-  b.nodes = 4;
-  b.put_remote = 30;
-  b.net_batches = 6;
-  b.net_messages = 60;
-  b.avg_batch_bytes = 200.0;
-  b.reorder_peak = 3;
-
-  a.merge(b);
-  EXPECT_EQ(a.nodes, 4u);            // topology, not a quantity
-  EXPECT_EQ(a.put_remote, 40u);      // counts sum
-  EXPECT_EQ(a.net_batches, 8u);
-  EXPECT_EQ(a.net_messages, 80u);
-  EXPECT_EQ(a.reorder_peak, 5u);     // peak combines with max, not +
-  // Mean re-weighted by batch count: (100*2 + 200*6) / 8.
-  EXPECT_DOUBLE_EQ(a.avg_batch_bytes, 175.0);
-}
-
-TEST(Stats, ClusterRunStatsMergeWithEmptySides) {
-  rt::ClusterRunStats empty;
-  rt::ClusterRunStats full;
-  full.net_batches = 4;
-  full.avg_batch_bytes = 50.0;
-  full.reorder_peak = 2;
-
-  rt::ClusterRunStats a = full;
-  a.merge(empty);  // merging nothing changes nothing
-  EXPECT_EQ(a.net_batches, 4u);
-  EXPECT_DOUBLE_EQ(a.avg_batch_bytes, 50.0);
-
-  rt::ClusterRunStats b = empty;
-  b.merge(full);  // merging into nothing adopts the other side
-  EXPECT_EQ(b.net_batches, 4u);
-  EXPECT_DOUBLE_EQ(b.avg_batch_bytes, 50.0);
-  EXPECT_EQ(b.reorder_peak, 2u);
-}
-
-TEST(Stats, ClusterRunStatsMergeTakesWorstShardLatency) {
-  rt::ClusterRunStats a;
-  a.lat_stage_p99_ns[0] = 100.0;
-  a.lat_e2e_p99_ns = 500.0;
-  a.lat_samples = 3;
-  rt::ClusterRunStats b;
-  b.lat_stage_p99_ns[0] = 400.0;
-  b.lat_e2e_p99_ns = 200.0;
-  b.lat_samples = 5;
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.lat_stage_p99_ns[0], 400.0);  // worst shard wins
-  EXPECT_DOUBLE_EQ(a.lat_e2e_p99_ns, 500.0);
-  EXPECT_EQ(a.lat_samples, 8u);  // sample counts sum
-}
-
 // --- Flight recorder -------------------------------------------------------
 
 TEST(FlightRec, RingKeepsLastEventsAndSkipsLiveSlotWhenWrapped) {

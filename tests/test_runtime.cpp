@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -135,8 +136,13 @@ TEST(Aggregator, TimeoutFlushesPartialBufferWithoutFlushAll) {
     std::this_thread::yield();
   }
   EXPECT_EQ(fabric.link(0, 1).messages, 3u);
+  // send() counts the batch on the link just before it enters the inbox.
   net::Delivery d;
-  ASSERT_TRUE(fabric.tryReceive(1, d));
+  while (!fabric.tryReceive(1, d)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the flushed batch never reached the destination inbox";
+    std::this_thread::yield();
+  }
   ASSERT_EQ(d.messages.size(), 3u);
   EXPECT_EQ(d.messages[0].value, 7u);
   pumps.stop();
@@ -279,22 +285,61 @@ TEST(Cluster, SequentialLaunchesComposeWithQuiet) {
 }
 
 TEST(Cluster, RunStatsWindowsResetCleanly) {
-  Cluster cluster(smallCluster(2));
-  auto arr = cluster.alloc<std::uint64_t>(16);
-  cluster.launchAll(16, 16, [&](std::uint32_t nodeId, simt::WorkItem& wi) {
-    cluster.node(nodeId).shmemInc(wi, 1 - nodeId, arr.at(0));
-  });
-  auto first = cluster.runStats();
-  EXPECT_EQ(first.inc_remote, 32u);
-  cluster.resetStats();
-  auto empty = cluster.runStats();
-  EXPECT_EQ(empty.opsTotal(), 0u);
-  EXPECT_EQ(empty.net_messages, 0u);
-  cluster.launchAll(16, 16, [&](std::uint32_t nodeId, simt::WorkItem& wi) {
-    cluster.node(nodeId).shmemInc(wi, 1 - nodeId, arr.at(0));
-  });
-  auto second = cluster.runStats();
-  EXPECT_EQ(second.inc_remote, 32u);
+  // runStats() windows each field by its metric kind: after resetStats(),
+  // counters (dead-letter counts included) restart at 0 while levels keep
+  // their value. The warm launch makes the levels nonzero before the
+  // reset, so a level published as a counter would read 0 here.
+  ClusterConfig faulty = smallCluster(2);
+  faulty.fault.drop_prob = 0.05;
+  faulty.fault.dup_prob = 0.05;
+  faulty.reliability.enabled = true;
+  faulty.reliability.policy = net::FailurePolicy::kDegrade;
+  faulty.reliability.rto_base = std::chrono::microseconds(500);
+  faulty.reliability.rto_max = std::chrono::microseconds(8000);
+  faulty.reliability.max_retries = 1u << 20;
+  for (const ClusterConfig& config : {smallCluster(2), faulty}) {
+    SCOPED_TRACE(config.fault.active() ? "faulty+reliable" : "perfect");
+    Cluster cluster(config);
+    auto arr = cluster.alloc<std::uint64_t>(16);
+    const auto launch = [&] {
+      cluster.launchAll(16, 16, [&](std::uint32_t nodeId,
+                                    simt::WorkItem& wi) {
+        cluster.node(nodeId).shmemInc(wi, 1 - nodeId,
+                                      arr.at(wi.globalId() % 16));
+      });
+    };
+    launch();
+    const ClusterRunStats first = cluster.runStats();
+    EXPECT_EQ(first.inc_remote, 32u);
+    EXPECT_GT(first.agg_lazy_buffers, 0u);
+    EXPECT_GT(first.agg_staging_bytes_peak, 0u);
+
+    cluster.resetStats();
+    const ClusterRunStats empty = cluster.runStats();
+    const std::uint64_t counters[] = {
+        empty.opsTotal(), empty.lanes_executed, empty.workgroups_executed,
+        empty.collective_ops, empty.collective_arrivals,
+        empty.active_arrivals, empty.predication_overhead_ops,
+        empty.agg_slots, empty.agg_lock_acquisitions, empty.agg_dests_touched,
+        empty.agg_timeout_scanned, empty.net_batches, empty.net_messages,
+        empty.net_bytes, empty.net_resolved, empty.retransmits,
+        empty.dup_drops, empty.acks, empty.acks_sent, empty.reorder_drops,
+        empty.breaker_trips, empty.probes, empty.stale_data_drops,
+        empty.stale_ack_drops, empty.injected_drops, empty.injected_dups,
+        empty.degraded.dead_lettered, empty.degraded.rejected};
+    for (std::size_t i = 0; i < std::size(counters); ++i)
+      EXPECT_EQ(counters[i], 0u) << "counter #" << i;
+    EXPECT_EQ(empty.avg_batch_bytes, 0.0);
+    EXPECT_EQ(empty.agg_lazy_buffers, first.agg_lazy_buffers);
+    EXPECT_EQ(empty.agg_resident_bytes, first.agg_resident_bytes);
+    EXPECT_EQ(empty.agg_staging_bytes_peak, first.agg_staging_bytes_peak);
+    EXPECT_EQ(empty.reorder_peak, first.reorder_peak);
+
+    launch();
+    const ClusterRunStats second = cluster.runStats();
+    EXPECT_EQ(second.inc_remote, first.inc_remote);
+    EXPECT_EQ(second.net_messages, first.net_messages);
+  }
 }
 
 TEST(Cluster, BatchSizesReflectAggregation) {
