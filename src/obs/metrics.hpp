@@ -33,6 +33,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -67,23 +68,41 @@ struct MetricValue {
 
 /// Key = metric name + free-form labels ("node=0", "link=0->1", ...).
 using MetricKey = std::pair<std::string, std::string>;
+/// A non-owning key: lookups by view never build the owning strings.
+using MetricKeyView = std::pair<std::string_view, std::string_view>;
+
+/// Orders owning keys and views alike (name, then labels), so a map keyed
+/// by MetricKey can be searched with a MetricKeyView.
+struct MetricKeyLess {
+  using is_transparent = void;
+  static MetricKeyView view(const MetricKey& k) noexcept {
+    return {k.first, k.second};
+  }
+  static MetricKeyView view(const MetricKeyView& k) noexcept { return k; }
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const noexcept {
+    return view(a) < view(b);
+  }
+};
+
+using MetricMap = std::map<MetricKey, MetricValue, MetricKeyLess>;
 
 /// A point-in-time copy of every registered metric; supports delta() against
 /// an earlier snapshot and JSON/CSV serialization.
 class MetricsSnapshot {
  public:
-  std::map<MetricKey, MetricValue> metrics;
+  MetricMap metrics;
 
-  bool contains(const std::string& name, const std::string& labels = "") const {
-    return metrics.count({name, labels}) != 0;
+  bool contains(std::string_view name, std::string_view labels = {}) const {
+    return find(name, labels) != nullptr;
   }
-  const MetricValue* find(const std::string& name,
-                          const std::string& labels = "") const {
-    auto it = metrics.find({name, labels});
+  const MetricValue* find(std::string_view name,
+                          std::string_view labels = {}) const {
+    auto it = metrics.find(MetricKeyView{name, labels});
     return it == metrics.end() ? nullptr : &it->second;
   }
   /// Counter value / gauge level / stat mean, or 0 when absent.
-  double number(const std::string& name, const std::string& labels = "") const {
+  double number(std::string_view name, std::string_view labels = {}) const {
     const MetricValue* m = find(name, labels);
     return m ? numberOf(*m) : 0.0;
   }
@@ -91,11 +110,11 @@ class MetricsSnapshot {
   /// number() summed over every label row of `name` (per-node rows roll up
   /// to a cluster total), or 0 when absent. Reads only the name's own key
   /// range, so the cost is the name's row count, not the snapshot size.
-  double sum(const std::string& name) const {
+  double sum(std::string_view name) const {
     return fold(name, [](double a, double b) { return a + b; });
   }
   /// Same, combining rows with max (per-node high-water marks).
-  double max(const std::string& name) const {
+  double max(std::string_view name) const {
     return fold(name, [](double a, double b) { return std::max(a, b); });
   }
 
@@ -201,9 +220,9 @@ class MetricsSnapshot {
   }
 
   template <typename Op>
-  double fold(const std::string& name, Op op) const {
+  double fold(std::string_view name, Op op) const {
     double acc = 0.0;
-    for (auto it = metrics.lower_bound({name, std::string()});
+    for (auto it = metrics.lower_bound(MetricKeyView{name, {}});
          it != metrics.end() && it->first.first == name; ++it)
       acc = op(acc, numberOf(it->second));
     return acc;
@@ -215,7 +234,7 @@ class MetricsSnapshot {
 class MetricsRegistry {
  public:
   /// Publishes the absolute value of a monotonic counter.
-  void setCounter(const std::string& name, const std::string& labels,
+  void setCounter(std::string_view name, std::string_view labels,
                   std::uint64_t value) {
     gravel::lock_guard lk(mutex_);
     MetricValue& m = slot(name, labels, MetricKind::kCounter);
@@ -223,7 +242,7 @@ class MetricsRegistry {
   }
 
   /// Publishes an instantaneous level.
-  void setGauge(const std::string& name, const std::string& labels,
+  void setGauge(std::string_view name, std::string_view labels,
                 double value) {
     gravel::lock_guard lk(mutex_);
     MetricValue& m = slot(name, labels, MetricKind::kGauge);
@@ -231,7 +250,7 @@ class MetricsRegistry {
   }
 
   /// Adds one sample to a RunningStat-backed metric.
-  void observe(const std::string& name, const std::string& labels,
+  void observe(std::string_view name, std::string_view labels,
                double sample) {
     gravel::lock_guard lk(mutex_);
     MetricValue& m = slot(name, labels, MetricKind::kStat);
@@ -246,7 +265,7 @@ class MetricsRegistry {
   }
 
   /// Publishes a whole RunningStat (absolute; snapshot/delta windows it).
-  void setStat(const std::string& name, const std::string& labels,
+  void setStat(std::string_view name, std::string_view labels,
                const RunningStat& s) {
     gravel::lock_guard lk(mutex_);
     MetricValue& m = slot(name, labels, MetricKind::kStat);
@@ -257,7 +276,7 @@ class MetricsRegistry {
   }
 
   /// Adds one sample to a Pow2Histogram-backed metric (also tracks extrema).
-  void observeHistogram(const std::string& name, const std::string& labels,
+  void observeHistogram(std::string_view name, std::string_view labels,
                         std::uint64_t sample) {
     gravel::lock_guard lk(mutex_);
     MetricValue& m = slot(name, labels, MetricKind::kHistogram);
@@ -275,7 +294,7 @@ class MetricsRegistry {
   }
 
   /// Publishes a whole Pow2Histogram.
-  void setHistogram(const std::string& name, const std::string& labels,
+  void setHistogram(std::string_view name, std::string_view labels,
                     const Pow2Histogram& h) {
     gravel::lock_guard lk(mutex_);
     MetricValue& m = slot(name, labels, MetricKind::kHistogram);
@@ -304,10 +323,18 @@ class MetricsRegistry {
 
  private:
   // Caller holds mutex_ (compiler-enforced). Re-registration with a
-  // different kind resets the slot rather than mixing semantics.
-  MetricValue& slot(const std::string& name, const std::string& labels,
+  // different kind resets the slot rather than mixing semantics. Publishing
+  // into an existing row is a lookup by view; only the first registration
+  // of a (name, labels) pair builds the owning key.
+  MetricValue& slot(std::string_view name, std::string_view labels,
                     MetricKind kind) GRAVEL_REQUIRES(mutex_) {
-    MetricValue& m = metrics_[{name, labels}];
+    const MetricKeyView key{name, labels};
+    auto it = metrics_.lower_bound(key);
+    if (it == metrics_.end() || MetricKeyLess{}(key, it->first))
+      it = metrics_.emplace_hint(
+          it, MetricKey{std::string(name), std::string(labels)},
+          MetricValue{});
+    MetricValue& m = it->second;
     if (m.kind != kind && (m.count || m.value || !m.buckets.empty()))
       m = MetricValue{};
     m.kind = kind;
@@ -315,7 +342,7 @@ class MetricsRegistry {
   }
 
   mutable gravel::mutex mutex_{"MetricsRegistry::mutex_"};
-  std::map<MetricKey, MetricValue> metrics_ GRAVEL_GUARDED_BY(mutex_);
+  MetricMap metrics_ GRAVEL_GUARDED_BY(mutex_);
 };
 
 }  // namespace gravel::obs

@@ -337,7 +337,9 @@ void Cluster::launchAll(const std::vector<std::uint64_t>& grids,
     gpus.emplace_back([this, i, &grids, wgSize, &kernel, &errors] {
       try {
         if (grids[i] == 0) return;
-        tracer_.nameThread("gpu." + std::to_string(i));
+        const std::string name = "gpu." + std::to_string(i);
+        tracer_.nameThread(name);
+        if (profiler_.enabled()) profiler_.nameThread(name);
         node(i).device().launch(
             {grids[i], wgSize},
             [this, i, &kernel](simt::WorkItem& wi) { kernel(i, wi); });
@@ -624,6 +626,7 @@ void Cluster::monitorLoop() {
         monitorTickOverruns_.fetch_add(1, std::memory_order_relaxed);
     }
     const auto cap = end + std::chrono::milliseconds(10);
+    obs::ScopedRegion idleRegion(&profiler_, obs::Region::kIdle);
     std::this_thread::sleep_until(std::min(wake, cap));
   }
 }

@@ -64,6 +64,9 @@ class CollectiveSite {
     return arrived_ == expected;
   }
 
+  /// Drops an instance an aborted work-group left in flight.
+  void abort() noexcept { arrived_ = 0; }
+
   /// True while an instance is in flight (some lanes arrived, not complete).
   bool inProgress() const noexcept { return arrived_ != 0; }
   std::uint32_t arrivedCount() const noexcept { return arrived_; }

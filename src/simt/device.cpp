@@ -10,7 +10,7 @@ namespace gravel::simt {
 Device::Device(const DeviceConfig& config)
     : config_(config),
       stats_(),
-      wg_(config_, stats_),
+      wg_(config_, stats_, fibers_),
       fibers_(config_.max_wg_size, config_.fiber_stack_bytes) {
   GRAVEL_CHECK_MSG(config_.wavefront_width > 0, "wavefront width must be > 0");
   GRAVEL_CHECK_MSG(config_.max_wg_size % config_.wavefront_width == 0,
@@ -22,26 +22,33 @@ void Device::launch(const LaunchConfig& launch, const Kernel& kernel) {
                        launch.wg_size <= config_.max_wg_size,
                    "launch wg_size out of device range");
   ++stats_.kernels_launched;
-  const std::uint64_t grid = launch.grid_size;
-  for (std::uint64_t base = 0; base < grid; base += launch.wg_size) {
+  kernel_ = &kernel;
+  gridSize_ = launch.grid_size;
+  for (wgBase_ = 0; wgBase_ < gridSize_; wgBase_ += launch.wg_size) {
     const auto lanes = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(launch.wg_size, grid - base));
-    runWorkGroup(base / launch.wg_size, base, lanes, grid, kernel);
+        std::min<std::uint64_t>(launch.wg_size, gridSize_ - wgBase_));
+    try {
+      runWorkGroup(wgBase_ / launch.wg_size, lanes);
+    } catch (...) {
+      // The group's other lanes stay suspended mid-kernel; drop them so the
+      // next launch can re-arm every fiber.
+      for (std::uint32_t lane = 0; lane < lanes; ++lane)
+        fibers_.at(lane).abandon();
+      throw;
+    }
   }
 }
 
-void Device::runWorkGroup(std::uint64_t wgIndex, std::uint64_t globalBase,
-                          std::uint32_t laneCount, std::uint64_t gridSize,
-                          const Kernel& kernel) {
+void Device::runWorkGroup(std::uint64_t wgIndex, std::uint32_t laneCount) {
   wg_.begin(wgIndex, laneCount);
   ++stats_.workgroups_executed;
   stats_.lanes_executed += laneCount;
 
   for (std::uint32_t lane = 0; lane < laneCount; ++lane) {
-    fibers_.at(lane).reset([this, lane, globalBase, gridSize, &kernel] {
-      WorkItem wi(*this, wg_, lane, globalBase, gridSize,
+    fibers_.at(lane).reset([this, lane] {
+      WorkItem wi(*this, wg_, lane, wgBase_, gridSize_,
                   config_.wavefront_width);
-      kernel(wi);
+      (*kernel_)(wi);
     });
   }
 
@@ -50,15 +57,17 @@ void Device::runWorkGroup(std::uint64_t wgIndex, std::uint64_t globalBase,
     bool resumedAny = false;
     bool finishedAny = false;
     // Lane order approximates wavefront-ordered issue; lanes that park at a
-    // collective are skipped until a sibling completes the rendezvous.
-    for (std::uint32_t lane = 0; lane < laneCount; ++lane) {
-      if (wg_.status(lane) != LaneStatus::kRunnable) continue;
-      Fiber& f = fibers_.at(lane);
-      if (f.finished()) continue;  // already done, bookkeeping below
+    // collective are skipped until a sibling completes the rendezvous. The
+    // lane entered here may hand off to later lanes of this pass itself
+    // (WorkGroupState::parkUntil); the pass continues after whichever lane
+    // comes back.
+    for (std::uint32_t lane = wg_.nextRunnable(0); lane < laneCount;
+         lane = wg_.nextRunnable(lane + 1)) {
       resumedAny = true;
       ++stats_.fiber_switches;
-      const bool more = f.resume();
-      if (!more) {
+      Fiber& back = fibers_.at(lane).resume();
+      lane = back.id();
+      if (back.finished()) {
         ++finished;
         finishedAny = true;
         wg_.onLaneFinish(lane);

@@ -15,7 +15,11 @@ namespace gravel::simt {
 /// the calling thread (the compute-unit count only matters to the cost
 /// model); lanes within a work-group interleave on fibers so that
 /// work-group-level operations block and resume like real convergence
-/// points. Thread-compatibility: one Device per "node" thread.
+/// points. A lane that parks at a collective hands the thread straight to
+/// the next runnable lane of the scheduler's pass (WorkGroupState); the
+/// scheduler regains control only when the pass runs out of runnable lanes,
+/// a lane finishes, or a lane yields on an external condition.
+/// Thread-compatibility: one Device per "node" thread.
 class Device {
  public:
   using Kernel = std::function<void(WorkItem&)>;
@@ -38,14 +42,18 @@ class Device {
   static void yieldLane();
 
  private:
-  void runWorkGroup(std::uint64_t wgIndex, std::uint64_t globalBase,
-                    std::uint32_t laneCount, std::uint64_t gridSize,
-                    const Kernel& kernel);
+  void runWorkGroup(std::uint64_t wgIndex, std::uint32_t laneCount);
 
   DeviceConfig config_;
   DeviceStats stats_;
+  // wg_ keeps a reference to fibers_ and uses it only once both are built.
   WorkGroupState wg_;
   FiberPool fibers_;
+  // The running work-group's dispatch, read by every lane's fiber body so
+  // that re-arming a lane captures only (this, lane) and never allocates.
+  const Kernel* kernel_ = nullptr;
+  std::uint64_t wgBase_ = 0;
+  std::uint64_t gridSize_ = 0;
 };
 
 }  // namespace gravel::simt

@@ -16,6 +16,7 @@
 #define GRAVEL_ASAN_FIBERS 0
 #endif
 #if GRAVEL_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -32,6 +33,20 @@ namespace gravel::simt {
 
 namespace {
 thread_local Fiber* tlsCurrentFiber = nullptr;
+
+/// The scheduler side of one resume() call: where fibers return to. It
+/// lives on the resume() caller's stack, so a kernel that itself runs a
+/// device (a nested scheduler) gets its own.
+struct SchedulerContext {
+  void* sp = nullptr;         // saved SP of the resume() caller
+  Fiber* returned = nullptr;  // the fiber that switched back
+  // ASan: the scheduler stack's bounds, learned on the first fiber arrival
+  // of this resume() (which always comes from the scheduler). Later
+  // arrivals may come from a sibling and must not overwrite them.
+  const void* stackBottom = nullptr;
+  std::size_t stackSize = 0;
+};
+thread_local SchedulerContext* tlsScheduler = nullptr;
 
 // Wrap the ASan fiber API so every switch site reads the same with and
 // without sanitizers. Protocol: the departing context calls startSwitch with
@@ -59,6 +74,16 @@ inline void finishSwitch(void* fakeSave, const void** bottomOld,
   (void)sizeOld;
 #endif
 }
+
+/// Finishes a switch that arrived on a fiber stack.
+inline void arriveOnFiber(void* fakeSave) {
+  SchedulerContext* s = tlsScheduler;
+  if (s->stackBottom == nullptr) {
+    finishSwitch(fakeSave, &s->stackBottom, &s->stackSize);
+  } else {
+    finishSwitch(fakeSave, nullptr, nullptr);
+  }
+}
 }  // namespace
 
 // The entry path must stay un-instrumented under ASan: the compiler deduces
@@ -74,8 +99,7 @@ inline void finishSwitch(void* fakeSave, const void** bottomOld,
 /// C++ side of the fiber entry path. Runs the body, captures any exception,
 /// and switches back to the scheduler for good. Never returns.
 GRAVEL_NO_ASAN void fiberTrampoline(Fiber* f) noexcept {
-  // First arrival on this stack: learn the scheduler's bounds for yields.
-  finishSwitch(nullptr, &f->schedStackBottom_, &f->schedStackSize_);
+  arriveOnFiber(nullptr);  // first arrival: nothing to restore
   try {
     f->body_();
   } catch (...) {
@@ -84,8 +108,10 @@ GRAVEL_NO_ASAN void fiberTrampoline(Fiber* f) noexcept {
   f->finished_ = true;
   // Final switch out; fiberSp_ is dead after this (nullptr fakeSave tells
   // ASan to release this stack's fake frames).
-  startSwitch(nullptr, f->schedStackBottom_, f->schedStackSize_);
-  gravel_ctx_swap(&f->fiberSp_, f->schedulerSp_);
+  SchedulerContext* s = tlsScheduler;
+  s->returned = f;
+  startSwitch(nullptr, s->stackBottom, s->stackSize);
+  gravel_ctx_swap(&f->fiberSp_, s->sp);
   // Unreachable: a finished fiber is never resumed (resume() checks).
   std::terminate();
 }
@@ -94,8 +120,8 @@ extern "C" GRAVEL_NO_ASAN void gravel_fiber_trampoline(void* f) {
   fiberTrampoline(static_cast<Fiber*>(f));
 }
 
-Fiber::Fiber(std::size_t stackBytes)
-    : stack_(new std::byte[stackBytes]), stackBytes_(stackBytes) {}
+Fiber::Fiber(std::size_t stackBytes, std::uint32_t id)
+    : stack_(new std::byte[stackBytes]), stackBytes_(stackBytes), id_(id) {}
 
 Fiber::~Fiber() {
   // Destroying a suspended (started, unfinished) fiber leaks whatever is on
@@ -135,33 +161,63 @@ void Fiber::reset(std::function<void()> body) {
   finished_ = false;
 }
 
-bool Fiber::resume() {
-  GRAVEL_CHECK_MSG(!finished_, "cannot resume a finished fiber");
+void Fiber::abandon() {
+  GRAVEL_CHECK_MSG(tlsCurrentFiber != this, "cannot abandon the running fiber");
+#if GRAVEL_ASAN_FIBERS
+  // The dead frames' redzones would poison the next body's frames.
+  if (started_) __asan_unpoison_memory_region(stack_.get(), stackBytes_);
+#endif
+  body_ = nullptr;
+  pending_ = nullptr;
+  started_ = false;
+  finished_ = true;
+}
+
+void* Fiber::enter(void** saveSp) {
   if (!started_) {
     primeStack();
     started_ = true;
   }
-  Fiber* prev = tlsCurrentFiber;
   tlsCurrentFiber = this;
   void* fakeSave = nullptr;
   startSwitch(&fakeSave, stack_.get(), stackBytes_);
-  gravel_ctx_swap(&schedulerSp_, fiberSp_);
-  finishSwitch(fakeSave, nullptr, nullptr);
-  tlsCurrentFiber = prev;
-  if (pending_) {
-    auto e = pending_;
-    pending_ = nullptr;
+  gravel_ctx_swap(saveSp, fiberSp_);
+  return fakeSave;
+}
+
+Fiber& Fiber::resume() {
+  GRAVEL_CHECK_MSG(!finished_, "cannot resume a finished fiber");
+  SchedulerContext ctx;
+  SchedulerContext* const outer = tlsScheduler;
+  Fiber* const outerFiber = tlsCurrentFiber;
+  tlsScheduler = &ctx;
+  finishSwitch(enter(&ctx.sp), nullptr, nullptr);
+  tlsScheduler = outer;
+  tlsCurrentFiber = outerFiber;
+  Fiber& back = *ctx.returned;
+  if (back.pending_) {
+    auto e = back.pending_;
+    back.pending_ = nullptr;
     std::rethrow_exception(e);
   }
-  return !finished_;
+  return back;
 }
 
 void Fiber::yield() {
   GRAVEL_CHECK_MSG(tlsCurrentFiber == this, "yield() outside the fiber");
+  SchedulerContext* s = tlsScheduler;
+  s->returned = this;
   void* fakeSave = nullptr;
-  startSwitch(&fakeSave, schedStackBottom_, schedStackSize_);
-  gravel_ctx_swap(&fiberSp_, schedulerSp_);
-  finishSwitch(fakeSave, &schedStackBottom_, &schedStackSize_);
+  startSwitch(&fakeSave, s->stackBottom, s->stackSize);
+  gravel_ctx_swap(&fiberSp_, s->sp);
+  arriveOnFiber(fakeSave);
+}
+
+void Fiber::switchTo(Fiber& next) {
+  GRAVEL_CHECK_MSG(tlsCurrentFiber == this, "switchTo() outside the fiber");
+  GRAVEL_CHECK_MSG(&next != this && !next.finished_,
+                   "switchTo() needs an unfinished sibling");
+  arriveOnFiber(next.enter(&fiberSp_));
 }
 
 Fiber* Fiber::current() noexcept { return tlsCurrentFiber; }

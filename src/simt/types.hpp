@@ -40,7 +40,7 @@ struct DeviceStats {
   SingleWriterCounter collective_ops;  ///< completed WG/fbar collectives
   SingleWriterCounter collective_arrivals;  ///< per-lane collective arrivals
   SingleWriterCounter active_arrivals;      ///< arrivals with active == true
-  SingleWriterCounter fiber_switches;
+  SingleWriterCounter fiber_switches;  ///< lane entries: resumes + handoffs
   SingleWriterCounter predication_overhead_ops;  ///< bumped by predicated apps
   SingleWriterCounter scratchpad_high_water;     ///< max bytes used by one WG
 

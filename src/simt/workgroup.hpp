@@ -13,6 +13,7 @@
 
 namespace gravel::simt {
 
+class FiberPool;
 class WorkGroupState;
 
 /// Scheduling status of one lane's fiber.
@@ -55,9 +56,11 @@ class FBar {
 /// Per-work-group execution state. One instance per Device; re-armed for
 /// each dispatched work-group. All methods run on the device's scheduler
 /// thread (lane fibers share that thread), so no internal locking is needed.
+/// Lane `l` runs on fiber `l` of the device's pool.
 class WorkGroupState {
  public:
-  WorkGroupState(const DeviceConfig& config, DeviceStats& stats);
+  WorkGroupState(const DeviceConfig& config, DeviceStats& stats,
+                 FiberPool& fibers);
 
   /// Arms the state for a work-group of `laneCount` lanes (the trailing
   /// work-group of a grid may be partial).
@@ -67,6 +70,13 @@ class WorkGroupState {
   std::uint32_t laneCount() const noexcept { return laneCount_; }
   LaneStatus status(std::uint32_t lane) const { return status_[lane]; }
   void setStatus(std::uint32_t lane, LaneStatus s) { status_[lane] = s; }
+
+  /// First runnable lane at or after `from`, or laneCount() when there is
+  /// none: the order of the scheduler's pass, which lane handoff follows.
+  std::uint32_t nextRunnable(std::uint32_t from) const {
+    while (from < laneCount_ && status_[from] != LaneStatus::kRunnable) ++from;
+    return from;
+  }
 
   /// Executes one work-group-level (or fbar-level when `fb != nullptr`)
   /// collective from lane `lane`. Parks the lane until all participants
@@ -104,6 +114,7 @@ class WorkGroupState {
 
   const DeviceConfig& config_;
   DeviceStats& stats_;
+  FiberPool& fibers_;
   CollectiveSite wgSite_;
   std::vector<LaneStatus> status_;
   std::vector<std::byte> scratch_;

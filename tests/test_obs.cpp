@@ -1737,6 +1737,19 @@ TEST(Profiler, ProfiledClusterServesProfileEndpointAndMonitorStats) {
   // Let the monitor thread take at least one instrumented tick.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
+  // Wall time is accounted for: every profiled thread carries a role name
+  // (no "thread-N" fallback), the GPU threads included, and the monitor's
+  // sleep between ticks is idle time rather than unattributed duty.
+  bool sawGpu0 = false;
+  std::uint64_t monitorIdleNs = 0;
+  for (const auto& t : cluster.profiler().sample()) {
+    EXPECT_NE(t.name.rfind("thread-", 0), 0u) << "unnamed profiled thread";
+    if (t.name == "gpu.0") sawGpu0 = true;
+    if (t.name == "monitor") monitorIdleNs = t.idle_ns;
+  }
+  EXPECT_TRUE(sawGpu0) << "no profiled thread named gpu.0";
+  EXPECT_GT(monitorIdleNs, 0u) << "the monitor's sleep is not idle time";
+
 #if GRAVEL_STATUS_SERVER_SUPPORTED
   if (cluster.statusServer() != nullptr && cluster.statusServer()->running()) {
     const std::uint16_t port = cluster.statusServer()->port();

@@ -3,6 +3,7 @@
 // (§5.2), fine-grain barriers (§5.3), scratchpad, and deadlock detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <numeric>
@@ -27,7 +28,7 @@ TEST(Fiber, RunsBodyToCompletion) {
   Fiber f;
   int x = 0;
   f.reset([&] { x = 42; });
-  EXPECT_FALSE(f.resume());
+  EXPECT_TRUE(f.resume().finished());
   EXPECT_TRUE(f.finished());
   EXPECT_EQ(x, 42);
 }
@@ -42,11 +43,11 @@ TEST(Fiber, YieldSuspendsAndResumes) {
     f.yield();
     trace.push_back(5);
   });
-  EXPECT_TRUE(f.resume());
+  EXPECT_FALSE(f.resume().finished());
   trace.push_back(2);
-  EXPECT_TRUE(f.resume());
+  EXPECT_FALSE(f.resume().finished());
   trace.push_back(4);
-  EXPECT_FALSE(f.resume());
+  EXPECT_TRUE(f.resume().finished());
   EXPECT_EQ(trace, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
@@ -84,6 +85,97 @@ TEST(Fiber, DeepCallChainsFitTheStack) {
   f.reset([&] { out = rec(100); });
   f.resume();
   EXPECT_EQ(out, 5050);
+}
+
+// switchTo(): a fiber hands the thread straight to a sibling (starting it if
+// it has not started); the scheduler regains control only when some fiber
+// yields or finishes, and resume() reports which one that was.
+TEST(Fiber, SwitchToHandsOffAndReturnsToTheScheduler) {
+  Fiber a(64 * 1024, 0);
+  Fiber b(64 * 1024, 1);
+  std::vector<int> trace;
+  a.reset([&] {
+    trace.push_back(1);
+    a.switchTo(b);  // b has not started: entered via the switch
+    trace.push_back(4);
+  });
+  b.reset([&] {
+    EXPECT_EQ(Fiber::current(), &b);
+    trace.push_back(2);
+    b.yield();  // back to the scheduler, not to a
+    trace.push_back(6);
+  });
+  Fiber& back = a.resume();
+  EXPECT_EQ(&back, &b);
+  EXPECT_EQ(back.id(), 1u);
+  EXPECT_EQ(Fiber::current(), nullptr);
+  EXPECT_FALSE(a.finished());
+  EXPECT_FALSE(b.finished());
+  trace.push_back(3);
+  EXPECT_EQ(&a.resume(), &a);
+  EXPECT_TRUE(a.finished());
+  trace.push_back(5);
+  EXPECT_EQ(&b.resume(), &b);
+  EXPECT_TRUE(b.finished());
+  EXPECT_EQ(trace, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+}
+
+TEST(Fiber, SiblingsSwitchBackAndForth) {
+  Fiber a(64 * 1024, 0);
+  Fiber b(64 * 1024, 1);
+  std::vector<int> trace;
+  a.reset([&] {
+    trace.push_back(1);
+    a.switchTo(b);
+    trace.push_back(3);  // resumed by b, not by the scheduler
+    a.switchTo(b);
+    trace.push_back(5);
+  });
+  b.reset([&] {
+    trace.push_back(2);
+    b.switchTo(a);
+    trace.push_back(4);
+    b.switchTo(a);
+  });
+  // a finishes first; b is still suspended in its second switch.
+  EXPECT_EQ(&a.resume(), &a);
+  EXPECT_TRUE(a.finished());
+  EXPECT_FALSE(b.finished());
+  EXPECT_EQ(&b.resume(), &b);
+  EXPECT_TRUE(b.finished());
+  EXPECT_EQ(trace, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(Fiber, ExceptionFromSwitchedToFiberSurfacesFromResume) {
+  Fiber a(64 * 1024, 0);
+  Fiber b(64 * 1024, 1);
+  bool aDone = false;
+  a.reset([&] {
+    a.switchTo(b);
+    aDone = true;
+  });
+  b.reset([] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(a.resume(), std::runtime_error);
+  EXPECT_EQ(Fiber::current(), nullptr);
+  EXPECT_TRUE(b.finished());
+  EXPECT_FALSE(a.finished());
+  EXPECT_EQ(&a.resume(), &a);  // a is still suspended in its switch
+  EXPECT_TRUE(aDone);
+}
+
+TEST(Fiber, AbandonedFiberIsReusable) {
+  Fiber f;
+  f.reset([&] {
+    f.yield();
+    ADD_FAILURE() << "abandoned continuation ran";
+  });
+  EXPECT_FALSE(f.resume().finished());
+  f.abandon();
+  EXPECT_TRUE(f.finished());
+  int x = 0;
+  f.reset([&] { x = 7; });
+  EXPECT_TRUE(f.resume().finished());
+  EXPECT_EQ(x, 7);
 }
 
 TEST(Device, LaunchCoversGridExactlyOnce) {
@@ -344,6 +436,97 @@ TEST(Device, StatsCountCollectives) {
   });
   EXPECT_EQ(dev.stats().collective_ops, 2u);
   EXPECT_EQ(dev.stats().collective_arrivals, 32u);
+}
+
+// Pins the scheduling of a diverged four-collective kernel: lanes that park
+// hand off directly to the next runnable lane, which must reproduce the
+// resume order and the DeviceStats counts of a scheduler-driven pass (the
+// DES charges collective_arrivals, so these feed the paper figures).
+TEST(Device, DivergedKernelResumeOrderAndCountsArePinned) {
+  Device dev(smallConfig(/*wf=*/64, /*wg=*/256));
+  constexpr std::uint64_t kGrid = 1000;
+  constexpr std::uint32_t kWg = 256;
+  std::vector<std::pair<std::uint64_t, int>> trace;  // (global id, phase)
+  std::vector<std::uint64_t> leader(kGrid), off(kGrid), total(kGrid);
+  dev.launch({kGrid, kWg}, [&](WorkItem& wi) {
+    const std::uint64_t g = wi.globalId();
+    const std::uint32_t l = wi.localId();
+    const bool active = l % 4 != 3;
+    trace.emplace_back(g, 0);
+    leader[g] = wi.wgReduceMax(l);
+    trace.emplace_back(g, 1);
+    off[g] = wi.wgPrefixSum(1, active);
+    trace.emplace_back(g, 2);
+    total[g] = wi.wgReduceSum(active ? 1 : 0, active);
+    trace.emplace_back(g, 3);
+    wi.wgBarrier();
+    trace.emplace_back(g, 4);
+  });
+
+  // Expected order, per work-group of n lanes: pass k (1..4) resumes lanes
+  // 0..n-k, which reach phase k-1; lane n-k completes collective k and goes
+  // on to phase k, then lanes n-k+1..n-1 (woken by it) reach phase k too.
+  // Pass 5 resumes the lanes 0..n-5 that the barrier woke.
+  std::vector<std::pair<std::uint64_t, int>> expected;
+  for (std::uint64_t base = 0; base < kGrid; base += kWg) {
+    const std::uint64_t n = std::min<std::uint64_t>(kWg, kGrid - base);
+    for (int k = 1; k <= 5; ++k) {
+      for (std::uint64_t l = 0; l + k <= n; ++l)
+        expected.emplace_back(base + l, k - 1);
+      if (k == 5) break;
+      for (std::uint64_t l = n - k; l < n; ++l) expected.emplace_back(base + l, k);
+    }
+  }
+  EXPECT_EQ(trace, expected);
+
+  for (std::uint64_t g = 0; g < kGrid; ++g) {
+    const std::uint64_t base = g - g % kWg;
+    const std::uint64_t n = std::min<std::uint64_t>(kWg, kGrid - base);
+    const std::uint64_t l = g - base;
+    EXPECT_EQ(leader[g], n - 1);
+    EXPECT_EQ(total[g], n - n / 4);
+    if (l % 4 != 3) {
+      EXPECT_EQ(off[g], l - l / 4);  // rank among active lanes
+    }
+  }
+
+  const DeviceStats& st = dev.stats();
+  EXPECT_EQ(st.fiber_switches, 4984u);
+  EXPECT_EQ(st.collective_ops, 16u);
+  EXPECT_EQ(st.collective_arrivals, 4000u);
+  EXPECT_EQ(st.active_arrivals, 3500u);
+  EXPECT_EQ(st.lanes_executed, kGrid);
+  EXPECT_EQ(st.workgroups_executed, 4u);
+}
+
+// Lane 0 parks and hands off to lane 1, which hands off to lane 2: lane 2
+// is entered by a sibling, never by the scheduler, and its mismatched
+// operation throws there. The exception must reach launch(), and the
+// abandoned lanes must not poison the next launch on the same device.
+TEST(Device, ThrowAfterHandoffPropagatesAndDeviceStaysUsable) {
+  Device dev(smallConfig(4, 4));
+  EXPECT_THROW(dev.launch({4, 4},
+                          [&](WorkItem& wi) {
+                            if (wi.localId() == 2)
+                              wi.wgReduceMax(1);
+                            else
+                              wi.wgReduceSum(1);
+                          }),
+               Error);
+
+  std::atomic<std::uint64_t> writeIdx{0};
+  std::vector<std::uint64_t> slot(8, 0);
+  dev.launch({8, 4}, [&](WorkItem& wi) {
+    const std::uint64_t lid = wi.localId();
+    const std::uint64_t max = wi.wgReduceMax(lid);
+    const std::uint64_t myOff = wi.wgPrefixSum(1);
+    std::uint64_t qOff = 0;
+    if (lid == max) qOff = writeIdx.fetch_add(myOff + 1);
+    const std::uint64_t base = wi.wgReduceSum(qOff);
+    slot[base + myOff] = wi.globalId() + 1;
+  });
+  EXPECT_EQ(writeIdx.load(), 8u);
+  for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(slot[i], i + 1);
 }
 
 // Property sweep: Figure 5b reservation must produce a dense permutation of
