@@ -77,15 +77,16 @@ int main() {
     json.cell("ts_msgs_per_s_peak", run.report.stats.ts_msgs_per_s_peak);
     // CPU-efficiency columns (schema v4), from the continuous profiler the
     // traced bench config enables: attributed busy nanoseconds per resolved
-    // network message, and process-wide named-mutex wait time as a ratio of
-    // that busy time. The ratio can exceed 1 — waits are counted on every
-    // thread (including uninstrumented simulated-device workers), busy time
-    // only on region-instrumented runtime threads.
+    // network message, and process-wide named-mutex wait time per
+    // nanosecond of that busy time. lock_wait_per_busy ranges over
+    // [0, inf), not [0, 1]: waits are counted on every thread (including
+    // uninstrumented simulated-device workers), busy time only on
+    // region-instrumented runtime threads.
     const double busyNs = double(run.report.stats.prof_busy_ns);
     json.cell("cpu_ns_per_msg",
               busyNs / double(std::max<std::uint64_t>(
                            1, run.report.stats.net_messages)));
-    json.cell("lock_wait_share",
+    json.cell("lock_wait_per_busy",
               double(run.report.stats.prof_lock_wait_ns) /
                   std::max(1.0, busyNs));
     json.cell("validated", run.report.validated ? 1.0 : 0.0);

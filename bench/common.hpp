@@ -143,7 +143,7 @@ inline rt::ClusterConfig benchCluster(std::uint32_t nodes,
     c.timeseries.enabled = true;
     c.timeseries.period = std::chrono::milliseconds(50);
     // Continuous profiler (schema v4): per-thread busy/idle attribution and
-    // named-mutex wait totals back the cpu_ns_per_msg / lock_wait_share
+    // named-mutex wait totals back the cpu_ns_per_msg / lock_wait_per_busy
     // columns. Region timers are scoped and single-writer — same noise
     // floor as the sampled tracing above.
     c.profiler.enabled = true;

@@ -38,8 +38,9 @@ deliver_to_resolve); the serving-oriented time-series columns (windowed
 collector, src/obs/timeseries.hpp): ts_windows, ts_msgs_per_s_p50,
 ts_msgs_per_s_peak; and the continuous-profiler columns (src/obs/
 profiler.hpp, DESIGN.md section 15): cpu_ns_per_msg (attributed busy ns
-per resolved network message) and lock_wait_share (named-mutex wait time
-as a share of busy time). fig8 rows carry gravel_gbs_prof (the same queue
+per resolved network message) and lock_wait_per_busy (process-wide
+named-mutex wait ns per attributed busy ns; range [0, inf), since waits
+count every thread but busy time only the instrumented ones). fig8 rows carry gravel_gbs_prof (the same queue
 measured with profiling enabled — the overhead evidence).
 
 Modes:
@@ -429,12 +430,14 @@ def validate_table5_profiler(row, i):
             f"{where}: cpu_ns_per_msg = {cpu} — the profiled bench run "
             "attributed no busy time (is the profiler wired into the "
             "traced bench config?)")
-    share = cell_median(row, "lock_wait_share")
-    # A ratio, not a fraction: the numerator is process-wide named-mutex
-    # wait time, which includes threads outside the region-instrumented set
-    # (e.g. simulated-device workers contending on the CPU heap mutex), so
-    # values above 1 are legitimate on contended runs. Only sign is gated.
-    require(share >= 0.0, f"{where}: lock_wait_share = {share} is negative")
+    per_busy = cell_median(row, "lock_wait_per_busy")
+    # A ratio over [0, inf), not a fraction: the numerator is process-wide
+    # named-mutex wait time, which includes threads outside the
+    # region-instrumented set (e.g. simulated-device workers contending on
+    # the CPU heap mutex), so values above 1 are legitimate on contended
+    # runs. Only sign is gated.
+    require(per_busy >= 0.0,
+            f"{where}: lock_wait_per_busy = {per_busy} is negative")
 
 
 VALIDATORS = {

@@ -36,8 +36,8 @@
 
 namespace gravel::obs {
 
-/// Label for the transition out of stage `t` ("enqueue_to_aggregate", ...),
-/// matching the trace.latency_ns.* metric naming.
+/// Label for the transition out of stage `t` ("enqueue_to_aggregate", ...):
+/// the `stage=` label of lat.stage_ns and the table5 lat_* column suffix.
 inline std::string transitionLabel(int t) {
   return std::string(stageName(Stage(t))) + "_to_" +
          stageName(Stage(t + 1));

@@ -15,9 +15,10 @@
 // accumulator table outright — enter/exit touch only owner-written plain
 // fields plus relaxed counters that a dumper may read concurrently, so
 // there is no CAS, no RMW contention, and no locking anywhere on the
-// record path. Thread registration is the same generation-keyed TLS +
-// CAS push onto a uintptr_t intrusive head that the flight recorder uses,
-// so the whole file stays verify-shim compatible and hot-path clean.
+// record path. Thread registration is the obs layer's one lock-free
+// ThreadRegistry (thread_registry.hpp), the same one the tracer's per-thread
+// records use, so the whole file stays verify-shim compatible and hot-path
+// clean.
 //
 // Disabled cost: ScopedRegion's constructor is one relaxed bool load and a
 // predicted not-taken branch; the destructor tests a plain member. Nothing
@@ -36,6 +37,7 @@
 
 #include "common/atomic.hpp"
 #include "obs/json.hpp"
+#include "obs/thread_registry.hpp"
 
 namespace gravel::obs {
 
@@ -104,16 +106,9 @@ class Profiler {
     atomic<std::uint64_t> self_ns{0};
   };
 
-  /// Registered once per (thread, profiler) pair, owned by the profiler,
-  /// reclaimed in its destructor — same lifetime discipline as the flight
-  /// recorder's rings.
-  struct ThreadState {
-    explicit ThreadState(std::string name) : default_name(std::move(name)) {}
-
-    ThreadState* next = nullptr;
-    std::string default_name;
-    std::string custom_name;
-    atomic<bool> named{false};
+  /// Registered once per (thread, profiler) pair through the profiler's
+  /// ThreadRegistry, which owns it and reclaims it in its destructor.
+  struct ThreadState : RegisteredThread {
     atomic<std::uint64_t> dropped{0};  // depth or table overflow
     PathSlot paths[kMaxPaths];
 
@@ -123,26 +118,10 @@ class Profiler {
     std::uint64_t start_ns[kMaxDepth] = {};
     std::uint64_t child_ns[kMaxDepth] = {};
     int slot_memo[kMaxDepth] = {};
-
-    const std::string& name() const noexcept {
-      // pairs-with: prof.named
-      return named.load(std::memory_order_acquire) ? custom_name
-                                                   : default_name;
-    }
   };
 
-  explicit Profiler(const ProfilerConfig& config = {})
-      : gen_(nextGeneration()) {
+  explicit Profiler(const ProfilerConfig& config = {}) {
     enabled_.store(config.enabled, std::memory_order_relaxed);
-  }
-
-  ~Profiler() {
-    ThreadState* t = headPtr();
-    while (t != nullptr) {
-      ThreadState* next = t->next;
-      delete t;
-      t = next;
-    }
   }
 
   Profiler(const Profiler&) = delete;
@@ -160,19 +139,17 @@ class Profiler {
   }
 
   /// Names the calling thread's accumulator ("agg.3", "monitor"). First
-  /// name wins, like FlightRecorder::nameThread.
+  /// name wins, like Tracer::nameThread; a no-op while disabled, so naming
+  /// never registers a record that nothing writes.
   // gravel-analyze: cold — once-per-thread registration.
   void nameThread(const std::string& name) {
-    ThreadState& t = threadState();
-    if (t.named.load(std::memory_order_relaxed)) return;
-    t.custom_name = name;
-    t.named.store(true, std::memory_order_release);  // pairs-with: prof.named
+    if (enabled()) threads_.local().setName(name);
   }
 
   /// Opens a region on the calling thread's stack. Returns the state so
   /// ScopedRegion's destructor can close without a second TLS lookup.
   ThreadState* enter(Region r) {
-    ThreadState& t = threadState();
+    ThreadState& t = threads_.local();
     if (t.depth < kMaxDepth) {
       t.packed = (t.packed << 8) | std::uint64_t(r);
       t.slot_memo[t.depth] = findSlot(t, t.packed);
@@ -221,6 +198,12 @@ class Profiler {
     std::uint64_t idle_ns = 0;
     std::uint64_t dropped = 0;
     std::vector<PathSample> paths;
+
+    /// Busy share of the instrumented span; 0 before anything recorded.
+    double duty() const noexcept {
+      const std::uint64_t span = busy_ns + idle_ns;
+      return span == 0 ? 0.0 : double(busy_ns) / double(span);
+    }
   };
 
   /// Copies every registered thread's accumulators. Safe concurrent with
@@ -229,7 +212,7 @@ class Profiler {
   // gravel-analyze: cold — dump-time walker.
   std::vector<ThreadSample> sample() const {
     std::vector<ThreadSample> out;
-    for (const ThreadState* t = headPtr(); t != nullptr; t = t->next) {
+    for (const ThreadState* t : threads_.records()) {
       ThreadSample s;
       s.name = t->name();
       s.dropped = t->dropped.load(std::memory_order_relaxed);
@@ -261,35 +244,6 @@ class Profiler {
   }
 
  private:
-  static std::uint64_t nextGeneration() noexcept {
-    static atomic<std::uint64_t> gen{1};
-    return gen.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // gravel-analyze: cold — once-per-thread slow path; enter() amortizes
-  // the one allocation + CAS over every later region.
-  ThreadState& threadState() {
-    // Generation-keyed like FlightRecorder::threadRing: a new profiler at
-    // a recycled address must not inherit another profiler's state.
-    thread_local std::uint64_t tlsGen = 0;
-    thread_local ThreadState* tlsState = nullptr;
-    if (tlsGen != gen_) {
-      ThreadState* t = new ThreadState(
-          "thread-" +
-          std::to_string(count_.fetch_add(1, std::memory_order_relaxed) + 1));
-      std::uintptr_t expected = head_.load(std::memory_order_relaxed);
-      do {
-        t->next = reinterpret_cast<ThreadState*>(expected);
-      } while (!head_.compare_exchange_weak(
-          expected, reinterpret_cast<std::uintptr_t>(t),
-          // pairs-with: prof.registry
-          std::memory_order_release, std::memory_order_relaxed));
-      tlsState = t;
-      tlsGen = gen_;
-    }
-    return *tlsState;
-  }
-
   /// Find-or-claim the accumulator row for a packed path. Only the owner
   /// thread writes keys into its own table, so the scan reads relaxed; the
   /// claiming store is release so a dumper that sees the key sees a fully
@@ -310,18 +264,8 @@ class Profiler {
     return -1;
   }
 
-  ThreadState* headPtr() const noexcept {
-    // pairs-with: prof.registry
-    return reinterpret_cast<ThreadState*>(
-        head_.load(std::memory_order_acquire));
-  }
-
-  std::uint64_t gen_;
   atomic<bool> enabled_{false};
-  // uintptr_t head for the same reason as the flight recorder: the verify
-  // shim arbitrates integral words only.
-  atomic<std::uintptr_t> head_{0};
-  atomic<std::uint64_t> count_{0};
+  ThreadRegistry<ThreadState> threads_;
 };
 
 /// RAII region bracket. With the profiler off (or absent) the constructor
@@ -366,8 +310,7 @@ inline void writeProfilerJson(std::ostream& os, const Profiler& prof,
     w.kv("name", t.name);
     w.kv("busy_ns", t.busy_ns);
     w.kv("idle_ns", t.idle_ns);
-    const std::uint64_t total = t.busy_ns + t.idle_ns;
-    w.kv("duty", total == 0 ? 0.0 : double(t.busy_ns) / double(total));
+    w.kv("duty", t.duty());
     w.kv("dropped", t.dropped);
     w.key("paths").beginArray();
     for (const Profiler::PathSample& p : t.paths) {

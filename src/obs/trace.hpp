@@ -3,36 +3,32 @@
 // network-thread resolution, with per-stage timestamps recorded into
 // single-writer per-thread buffers.
 //
-// Design constraints (ISSUE 2 tentpole):
+// Design constraints:
 //   - near-zero overhead when disabled: every record site is guarded by one
 //     branch on a plain bool; nothing else is touched;
-//   - no locks on the hot path: each recording thread owns a fixed-capacity
-//     event buffer (acquired once through a mutex, then written single-writer
-//     with a release-published count); readers only run at quiescent points
-//     (after quiet()/join) or tolerate a slightly stale tail;
+//   - no locks anywhere: each recording thread owns one ThreadTrace record
+//     (registered once through the lock-free ThreadRegistry, then written
+//     single-writer with release-published counts); readers walk the
+//     registry concurrently with writers;
 //   - the trace ID travels *in* the message: NetMessage's cmd word has 16
 //     free bits (16..31) on every data command, so no wire-format growth and
 //     the ID survives aggregation, framing, retransmission and reordering.
 //
-// Layered on the same record sites (ISSUE 5):
-//   - the flight recorder (flight_recorder.hpp) keeps an always-on ring of
-//     the last N events per thread, independent of sampling. Unsampled
-//     traffic reaches it at slot/batch granularity only: each record site
-//     makes one recordBatch() call per GPU-queue slot or per batch (one
-//     clock read, id 0, value = messages covered), and runs its
-//     per-message recordStage() loop only when sampling is enabled, for
-//     stamped messages;
-//   - the latency-attribution engine (latency.hpp) consumes the sampled
-//     buffers incrementally and attributes p50/p99 to pipeline stages.
+// One ThreadTrace holds both per-thread sinks:
+//   - the flight ring (flight_recorder.hpp), an always-on ring of the last
+//     N events, independent of sampling. Unsampled traffic reaches it at
+//     slot/batch granularity only: each record site makes one recordBatch()
+//     call per GPU-queue slot or per batch (one clock read, id 0, value =
+//     messages covered), and runs its per-message recordStage() loop only
+//     when sampling is enabled, for stamped messages;
+//   - when sampling is enabled, the append-only TraceBuffer that the
+//     latency-attribution engine (latency.hpp) consumes incrementally and
+//     the Perfetto/Chrome-trace exporter (trace_export.hpp) renders, with
+//     depth-gauge samples as counter tracks.
+// One record per thread means one TLS lookup per record call and one name
+// per thread: nameThread() names the Perfetto track and the flight ring.
 //
-// The Perfetto/Chrome-trace exporter over these buffers lives in
-// trace_export.hpp; depth-gauge samples recorded here render as counter
-// tracks there.
-//
-// gravel-lint: hot-path — recordBatch() runs once per slot or batch and
-// recordStage() on every sampled message; the two lock sites below are
-// once-per-thread registration and quiescent readers and carry individual
-// allow() suppressions.
+// gravel-lint: hot-path
 #pragma once
 
 #include <algorithm>
@@ -46,16 +42,20 @@
 #include "common/atomic.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/stage.hpp"
+#include "obs/thread_registry.hpp"
 
 namespace gravel::obs {
 
-/// Fixed-capacity single-writer event buffer. The writer publishes with a
-/// release store of the count; concurrent readers acquire the count and read
-/// only below it, so drains at quiescent points are race-free without locks.
+/// Fixed-capacity single-writer event buffer that keeps the first
+/// `capacity` events and counts the rest as dropped (zero capacity holds no
+/// storage). The writer publishes with a release store of the count;
+/// concurrent readers acquire the count and read only below it, so drains
+/// are race-free without locks.
 class TraceBuffer {
  public:
   explicit TraceBuffer(std::size_t capacity)
-      : capacity_(capacity), events_(new TraceEvent[capacity]) {}
+      : capacity_(capacity),
+        events_(capacity != 0 ? new TraceEvent[capacity] : nullptr) {}
 
   void record(const TraceEvent& e) noexcept {
     const std::size_t n = count_.load(std::memory_order_relaxed);
@@ -77,15 +77,11 @@ class TraceBuffer {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  const std::string& name() const noexcept { return name_; }
-  void setName(std::string name) { name_ = std::move(name); }
-
  private:
   std::size_t capacity_;
   std::unique_ptr<TraceEvent[]> events_;
   atomic<std::size_t> count_{0};
   atomic<std::uint64_t> dropped_{0};
-  std::string name_ = "thread";
 };
 
 /// Tracing knobs, embedded in ClusterConfig as `config.obs`.
@@ -115,22 +111,37 @@ struct TraceConfig {
   /// dumped as gravel_flightrec.json on quiet-deadline expiry,
   /// LinkFailureError, or GRAVEL_FLIGHTREC_DUMP=1 exit. Costs one clock
   /// read and a few relaxed stores per record, i.e. per slot or batch, not
-  /// per message; set false for overhead-free record sites.
+  /// per message; set false (or zero events) for overhead-free record
+  /// sites.
   bool flightrec = true;
   std::size_t flightrec_events = 2048;
 };
 
-/// The per-cluster trace sink. Threads acquire a private buffer on first
-/// record (mutex once), then record lock-free. Trace IDs are 16-bit, never
-/// 0, assigned round-robin to every sample_interval-th candidate.
+/// One recording thread's trace state: its flight ring and its sampled
+/// buffer, which has storage only when sampling is enabled. Its name
+/// (RegisteredThread) is both the Perfetto track name and the flight-dump
+/// thread name.
+struct ThreadTrace : RegisteredThread {
+  ThreadTrace(std::size_t ringEvents, std::size_t bufferEvents)
+      : ring(ringEvents), sampled(bufferEvents) {}
+
+  FlightRing ring;
+  TraceBuffer sampled;
+};
+
+/// The per-cluster trace sink. A thread's first record registers its
+/// ThreadTrace lock-free; every later record is one TLS check plus the
+/// ring and/or buffer store. Trace IDs are 16-bit, never 0, assigned
+/// round-robin to every sample_interval-th candidate.
 class Tracer {
  public:
   explicit Tracer(const TraceConfig& config)
       : config_(config),
         enabled_(config.enabled),
-        flight_(config.flightrec ? config.flightrec_events : 0),
-        epoch_(std::chrono::steady_clock::now()),
-        gen_(nextGeneration()) {
+        flight_(config.flightrec && config.flightrec_events != 0),
+        ringEvents_(flight_ ? config.flightrec_events : 0),
+        bufferEvents_(enabled_ ? config.buffer_events : 0),
+        epoch_(std::chrono::steady_clock::now()) {
     if (const char* env = std::getenv("GRAVEL_TRACE_SAMPLE")) {
       // Positive integers override the configured interval; anything else
       // (unset, empty, 0, garbage) leaves the config value in force.
@@ -142,14 +153,14 @@ class Tracer {
 
   bool enabled() const noexcept { return enabled_; }
 
+  /// True when the always-on flight ring records.
+  bool flightEnabled() const noexcept { return flight_; }
+
   /// True when any record call can land anywhere: sampled tracing, the
   /// flight recorder, or both.
-  bool active() const noexcept { return enabled_ || flight_.enabled(); }
+  bool active() const noexcept { return enabled_ || flight_; }
 
   const TraceConfig& config() const noexcept { return config_; }
-
-  FlightRecorder& flightRecorder() noexcept { return flight_; }
-  const FlightRecorder& flightRecorder() const noexcept { return flight_; }
 
   std::uint64_t nowNs() const noexcept {
     return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -172,16 +183,13 @@ class Tracer {
   }
 
   /// Records a message-stage event. id 0 is legal and means "not sampled":
-  /// the event still reaches the flight recorder but never a TraceBuffer.
+  /// the event still reaches the flight ring but never a TraceBuffer.
   /// Record sites call this per message only when enabled(), and only for
   /// stamped messages; unsampled traffic goes through recordBatch().
   void recordStage(Stage stage, std::uint32_t id, std::uint16_t node,
                    std::uint16_t dest, std::uint64_t value = 0,
                    std::uint8_t kind = 0) noexcept {
-    if (!enabled_ && !flight_.enabled()) return;
-    const TraceEvent e{nowNs(), value, id, node, dest, stage, kind};
-    if (flight_.enabled()) flight_.record(e);
-    if (enabled_ && id != 0) threadBuffer().record(e);
+    record(TraceEvent{0, value, id, node, dest, stage, kind}, id != 0);
   }
 
   /// Flight-only summary of one GPU-queue slot or one batch: one clock read
@@ -190,36 +198,39 @@ class Tracer {
   /// the Perfetto export are blind to it by construction.
   void recordBatch(Stage stage, std::uint16_t node, std::uint16_t dest,
                    std::uint64_t count, std::uint8_t kind) noexcept {
-    if (!flight_.enabled()) return;
-    flight_.record(TraceEvent{nowNs(), count, 0, node, dest, stage, kind});
+    if (!flight_) return;
+    local().ring.record(TraceEvent{nowNs(), count, 0, node, dest, stage, kind});
   }
 
   /// Records a gauge sample (renders as a Perfetto counter track; also
   /// lands in the flight ring so post-mortems see recent depth history).
   void recordGauge(Gauge gauge, std::uint16_t node, std::uint64_t value) {
-    if (!enabled_ && !flight_.enabled()) return;
-    const TraceEvent e{nowNs(), value, std::uint32_t(gauge),
-                       node, 0, Stage::kGauge};
-    if (flight_.enabled()) flight_.record(e);
-    if (enabled_) threadBuffer().record(e);
+    record(TraceEvent{0, value, std::uint32_t(gauge), node, 0, Stage::kGauge},
+           true);
   }
 
-  /// Names the calling thread's buffer (its Perfetto track) and its flight
-  /// ring.
+  /// Names the calling thread's record: its Perfetto track and its flight
+  /// ring. First name wins.
+  // gravel-analyze: cold — once-per-thread naming.
   void nameThread(const std::string& name) {
-    if (enabled_) threadBuffer().setName(name);
-    if (flight_.enabled()) flight_.nameThread(name);
+    if (active()) local().setName(name);
   }
 
-  /// All buffers created so far. Safe to iterate at quiescent points; each
+  /// Every thread record registered so far, newest first. Safe concurrent
+  /// with recording threads.
+  // gravel-analyze: cold — dump-time walker.
+  std::vector<const ThreadTrace*> threads() const {
+    return threads_.records();
+  }
+
+  /// Every sampled buffer created so far (empty unless enabled()). Each
   /// buffer's size() is release-published by its writer.
   // gravel-analyze: cold — quiescent-point reader, not a record site.
   std::vector<const TraceBuffer*> buffers() const {
-    // Quiescent-point reader, never on a record path.
-    gravel::lock_guard lk(mutex_);  // gravel-lint: allow(hot-path-blocking)
     std::vector<const TraceBuffer*> out;
-    out.reserve(buffers_.size());
-    for (const auto& b : buffers_) out.push_back(b.get());
+    if (enabled_)
+      for (const ThreadTrace* t : threads_.records())
+        out.push_back(&t->sampled);
     return out;
   }
 
@@ -239,6 +250,7 @@ class Tracer {
     return out;
   }
 
+  // gravel-analyze: cold — quiescent/dump-time reader, not a record site.
   std::uint64_t droppedEvents() const {
     std::uint64_t d = 0;
     for (const TraceBuffer* b : buffers()) d += b->dropped();
@@ -250,41 +262,31 @@ class Tracer {
   }
 
  private:
-  static std::uint64_t nextGeneration() noexcept {
-    static atomic<std::uint64_t> gen{1};
-    return gen.fetch_add(1, std::memory_order_relaxed);
-  }
+  ThreadTrace& local() { return threads_.local(ringEvents_, bufferEvents_); }
 
-  // gravel-analyze: cold — once-per-thread slow path; the lock and the
-  // allocation are amortized over every later record on this thread.
-  TraceBuffer& threadBuffer() {
-    // Generation (not pointer) keyed: a new Tracer at a recycled address
-    // must not inherit a stale buffer pointer.
-    thread_local std::uint64_t tlsGen = 0;
-    thread_local TraceBuffer* tlsBuf = nullptr;
-    if (tlsGen != gen_) {
-      // Taken once per (thread, tracer generation); every later record on
-      // this thread goes straight to the cached tlsBuf pointer.
-      gravel::lock_guard lk(mutex_);  // gravel-lint: allow(hot-path-blocking)
-      buffers_.push_back(std::make_unique<TraceBuffer>(config_.buffer_events));
-      buffers_.back()->setName("thread-" + std::to_string(buffers_.size()));
-      tlsBuf = buffers_.back().get();
-      tlsGen = gen_;
-    }
-    return *tlsBuf;
+  /// Stamps `e` and stores it in the flight ring when that records, and in
+  /// the sampled buffer when sampling is on and `sampled` (a stamped
+  /// message or a gauge). One TLS lookup for both.
+  void record(TraceEvent e, bool sampled) noexcept {
+    const bool toBuffer = enabled_ && sampled;
+    if (!flight_ && !toBuffer) return;
+    e.ts_ns = nowNs();
+    ThreadTrace& t = local();
+    if (flight_) t.ring.record(e);
+    if (toBuffer) t.sampled.record(e);
   }
 
   TraceConfig config_;
   bool enabled_;
-  FlightRecorder flight_;
+  bool flight_;
+  std::size_t ringEvents_;
+  std::size_t bufferEvents_;
   std::chrono::steady_clock::time_point epoch_;
-  std::uint64_t gen_;
 
   atomic<std::uint64_t> candidates_{0};
   atomic<std::uint32_t> nextId_{1};
 
-  mutable gravel::mutex mutex_{"Tracer::mutex_"};  // gravel-lint: allow(hot-path-blocking)
-  std::vector<std::unique_ptr<TraceBuffer>> buffers_ GRAVEL_GUARDED_BY(mutex_);
+  ThreadRegistry<ThreadTrace> threads_;
 };
 
 }  // namespace gravel::obs

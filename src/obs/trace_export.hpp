@@ -1,21 +1,26 @@
-// Perfetto/Chrome-trace JSON export of a Tracer's buffers, plus the
-// stage-latency analysis the metrics registry ingests.
+// The Tracer's two exporters, both over its per-thread ThreadTrace records:
 //
-// Output is the Chrome trace-event JSON format (https://ui.perfetto.dev
-// opens it directly): one track (tid) per recording thread — aggregator,
-// network, GPU scheduler, sampler — carrying a short "X" slice per recorded
-// message stage, flow events ("s"/"t"/"f") chaining each sampled message's
-// stages across tracks, and "C" counter tracks for the depth gauges.
+//   - writeChromeTrace: the sampled buffers as Chrome trace-event JSON
+//     (https://ui.perfetto.dev opens it directly): one track (tid) per
+//     recording thread — aggregator, network, GPU scheduler, sampler —
+//     carrying a short "X" slice per recorded message stage, flow events
+//     ("s"/"t"/"f") chaining each sampled message's stages across tracks,
+//     and "C" counter tracks for the depth gauges;
+//   - writeFlightRecorderJson: the flight rings as gravel_flightrec.json.
+//
+// Both name a thread by its record's name, so a Perfetto track and the
+// flight ring of the same thread always agree. Latency statistics over the
+// sampled events come from LatencyAttribution (latency.hpp), not from here.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 
@@ -38,7 +43,9 @@ struct FlowPoint {
 /// process track ("gravel" by default).
 inline void writeChromeTrace(std::ostream& os, const Tracer& tracer,
                              const std::string& process = "gravel") {
-  const auto buffers = tracer.buffers();
+  // One track per thread record; without sampling there are no events.
+  const std::vector<const ThreadTrace*> tracks =
+      tracer.enabled() ? tracer.threads() : std::vector<const ThreadTrace*>{};
   JsonWriter w(os);
   w.beginObject();
   w.kv("displayTimeUnit", "ns");
@@ -58,7 +65,7 @@ inline void writeChromeTrace(std::ostream& os, const Tracer& tracer,
       .kv("name", process)
       .endObject()
       .endObject();
-  for (std::size_t t = 0; t < buffers.size(); ++t) {
+  for (std::size_t t = 0; t < tracks.size(); ++t) {
     w.beginObject()
         .kv("name", "thread_name")
         .kv("ph", "M")
@@ -66,15 +73,15 @@ inline void writeChromeTrace(std::ostream& os, const Tracer& tracer,
         .kv("tid", std::uint64_t(t + 1))
         .key("args")
         .beginObject()
-        .kv("name", buffers[t]->name())
+        .kv("name", tracks[t]->name())
         .endObject()
         .endObject();
   }
 
   // Pass 1: slices and counters, gathering flow points per trace ID.
   std::map<std::uint32_t, std::vector<detail::FlowPoint>> flows;
-  for (std::size_t t = 0; t < buffers.size(); ++t) {
-    const TraceBuffer& b = *buffers[t];
+  for (std::size_t t = 0; t < tracks.size(); ++t) {
+    const TraceBuffer& b = tracks[t]->sampled;
     const std::size_t n = b.size();
     const int tid = int(t + 1);
     for (std::size_t i = 0; i < n; ++i) {
@@ -176,30 +183,55 @@ inline std::vector<MessageLifecycle> reconstructLifecycles(
   return out;
 }
 
-/// Latency between consecutive observed stages, pooled over all sampled
-/// messages. Index [i] covers stage i -> stage i+1 in nanoseconds.
-struct StageLatencies {
-  RunningStat stage[kMessageStages - 1];
-  RunningStat end_to_end;  ///< enqueue -> resolve where both were seen
-};
-
-inline StageLatencies stageLatencies(const Tracer& tracer) {
-  StageLatencies out;
-  for (const MessageLifecycle& lc : reconstructLifecycles(tracer)) {
-    std::uint64_t prev = 0;
-    int prevStage = -1;
-    for (int s = 0; s < kMessageStages; ++s) {
-      if (lc.ts_ns[s] == 0) continue;
-      if (prevStage >= 0 && s == prevStage + 1 && lc.ts_ns[s] >= prev)
-        out.stage[prevStage].add(double(lc.ts_ns[s] - prev));
-      prev = lc.ts_ns[s];
-      prevStage = s;
+/// Serializes the flight rings as gravel_flightrec.json:
+///   {"reason": ..., "now_ns": ..., "threads": [{"name", "recorded",
+///    "capacity", "overwritten", "events": [{...}, ...]}, ...]}
+/// Events carry ts_ns/stage/id/node/dest/value/kind. A message-stage event
+/// with id 0 is a flight-only summary of one GPU-queue slot (enqueue,
+/// aggregate) or one batch (flush, wire-send, deliver, resolve): `value`
+/// is the number of messages it covers, `kind` the first message's
+/// command, and `dest` the batch's destination (0 for slot summaries,
+/// which span destinations). A nonzero id is one sampled message, with its
+/// heap address in `value`. kGauge events carry the gauge id and sample.
+/// `extra`, when given, is invoked after the header keys to append
+/// caller-owned top-level keys (the Cluster injects its
+/// membership/degraded-mode block this way — this layer cannot see runtime
+/// types).
+inline void writeFlightRecorderJson(
+    std::ostream& os, const Tracer& tracer, const std::string& reason,
+    std::uint64_t now_ns,
+    const std::function<void(JsonWriter&)>& extra = nullptr) {
+  JsonWriter w(os);
+  w.beginObject();
+  w.kv("reason", reason);
+  w.kv("now_ns", now_ns);
+  if (extra) extra(w);
+  w.key("threads").beginArray();
+  for (const ThreadTrace* t : tracer.threads()) {
+    const std::uint64_t recorded = t->ring.recorded();
+    const std::uint64_t cap = t->ring.capacity();
+    w.beginObject();
+    w.kv("name", t->name());
+    w.kv("recorded", recorded);
+    w.kv("capacity", cap);
+    w.kv("overwritten", recorded > cap ? recorded - cap : 0);
+    w.key("events").beginArray();
+    for (const TraceEvent& e : t->ring.snapshot()) {
+      w.beginObject();
+      w.kv("ts_ns", e.ts_ns);
+      w.kv("stage", stageName(e.stage));
+      w.kv("id", std::uint64_t{e.id});
+      w.kv("node", std::uint64_t{e.node});
+      w.kv("dest", std::uint64_t{e.aux});
+      w.kv("value", e.value);
+      w.kv("kind", messageKindName(e.kind));
+      w.endObject();
     }
-    const std::uint64_t enq = lc.ts_ns[int(Stage::kEnqueue)];
-    const std::uint64_t res = lc.ts_ns[int(Stage::kResolve)];
-    if (enq && res && res >= enq) out.end_to_end.add(double(res - enq));
+    w.endArray();
+    w.endObject();
   }
-  return out;
+  w.endArray();
+  w.endObject();
 }
 
 }  // namespace gravel::obs

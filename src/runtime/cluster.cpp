@@ -33,6 +33,21 @@ bool envTruthy(const char* name) {
   return env != nullptr && *env != '\0' && std::string(env) != "0";
 }
 
+// Best-effort artifact ${<dirEnv>:-.}/<file>; never throws (it runs on
+// error paths and in the destructor).
+template <typename Write>
+void dumpArtifact(const char* dirEnv, const char* file,
+                  const Write& write) noexcept {
+  try {
+    const char* dir = std::getenv(dirEnv);
+    std::ofstream os(std::string((dir != nullptr && *dir != '\0') ? dir : ".") +
+                     "/" + file);
+    if (os) write(os);
+  } catch (...) {
+    // Swallow: a failed dump must not mask the error being reported.
+  }
+}
+
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config)
@@ -133,16 +148,19 @@ Cluster::~Cluster() {
   // the run's tail even when the last cadence tick never fired.
   if (timeseries_) {
     collectWindow();
-    dumpTimeSeries();
+    dumpArtifact("GRAVEL_TIMESERIES_DIR", "gravel_timeseries.json",
+                 [this](std::ostream& os) { timeseries_->writeJson(os); });
   }
   stopPool();
-  // Exit artifact for a profiled run, written after every instrumented
-  // thread has joined so the accumulators are final.
-  if (profiler_.enabled()) dumpProfile();
+  // Exit artifact for a profiled run — the same document /profile serves —
+  // written after every instrumented thread has joined so the accumulators
+  // are final.
+  if (profiler_.enabled())
+    dumpArtifact("GRAVEL_PROFILE_DIR", "gravel_profile.json",
+                 [this](std::ostream& os) { writeProfileJson(os); });
   // Opt-in exit dump: GRAVEL_FLIGHTREC_DUMP=1 writes the flight record even
   // on clean shutdown (CI smoke uses this to validate the artifact).
-  if (const char* env = std::getenv("GRAVEL_FLIGHTREC_DUMP"))
-    if (*env != '\0' && std::string(env) != "0") dumpFlightRecorder("exit");
+  if (envTruthy("GRAVEL_FLIGHTREC_DUMP")) dumpFlightRecorder("exit");
 }
 
 std::uint32_t Cluster::registerHandler(AmHandler handler) {
@@ -339,7 +357,7 @@ void Cluster::launchAll(const std::vector<std::uint64_t>& grids,
         if (grids[i] == 0) return;
         const std::string name = "gpu." + std::to_string(i);
         tracer_.nameThread(name);
-        if (profiler_.enabled()) profiler_.nameThread(name);
+        profiler_.nameThread(name);
         node(i).device().launch(
             {grids[i], wgSize},
             [this, i, &kernel](simt::WorkItem& wi) { kernel(i, wi); });
@@ -568,7 +586,7 @@ void Cluster::resetStats() { statsBase_ = collectMetrics(); }
 void Cluster::monitorLoop() {
   using clock = std::chrono::steady_clock;
   tracer_.nameThread("monitor");
-  if (profiler_.enabled()) profiler_.nameThread("monitor");
+  profiler_.nameThread("monitor");
   const bool gauges = tracer_.enabled() && config_.obs.gauge_period.count() > 0;
   auto nextGauge = clock::now();
   auto nextWatch = clock::now();
@@ -879,9 +897,7 @@ obs::MetricsSnapshot Cluster::collectMetrics() {
       const std::string thread = "thread=" + t.name;
       metrics_.setCounter("prof.busy_ns", thread, t.busy_ns);
       metrics_.setCounter("prof.idle_ns", thread, t.idle_ns);
-      const std::uint64_t span = t.busy_ns + t.idle_ns;
-      metrics_.setGauge("prof.duty", thread,
-                        span == 0 ? 0.0 : double(t.busy_ns) / double(span));
+      metrics_.setGauge("prof.duty", thread, t.duty());
       metrics_.setCounter("prof.dropped", thread, t.dropped);
       for (const obs::Profiler::PathSample& p : t.paths) {
         std::string path = thread + ",path=";
@@ -912,18 +928,8 @@ obs::MetricsSnapshot Cluster::collectMetrics() {
   metrics_.setCounter("fault.reorders", "", f.reorders);
   metrics_.setCounter("fault.delays", "", f.delays);
 
-  // Trace-derived stage latencies (sampled messages only).
+  // Sampled-tracing counters; the latencies themselves are lat.* below.
   if (tracer_.enabled()) {
-    const obs::StageLatencies lat = obs::stageLatencies(tracer_);
-    for (int st = 0; st + 1 < obs::kMessageStages; ++st) {
-      const std::string name =
-          std::string("trace.latency_ns.") +
-          obs::stageName(obs::Stage(st)) + "_to_" +
-          obs::stageName(obs::Stage(st + 1));
-      if (lat.stage[st].count()) metrics_.setStat(name, "", lat.stage[st]);
-    }
-    if (lat.end_to_end.count())
-      metrics_.setStat("trace.latency_ns.end_to_end", "", lat.end_to_end);
     metrics_.setCounter("trace.candidates", "", tracer_.sampledCandidates());
     metrics_.setCounter("trace.dropped_events", "", tracer_.droppedEvents());
   }
@@ -986,8 +992,7 @@ void Cluster::writeFlightRecorder(std::ostream& os,
     w.kv("stored", d.stored);
     w.endObject();
   };
-  obs::writeFlightRecorderJson(os, tracer_.flightRecorder(), reason,
-                               tracer_.nowNs(), extra);
+  obs::writeFlightRecorderJson(os, tracer_, reason, tracer_.nowNs(), extra);
 }
 
 void Cluster::writeWatchdog(std::ostream& os) const {
@@ -1190,8 +1195,7 @@ void Cluster::writeStatusJson(std::ostream& os) {
       w.kv("name", t.name);
       w.kv("busy_ns", t.busy_ns);
       w.kv("idle_ns", t.idle_ns);
-      const std::uint64_t span = t.busy_ns + t.idle_ns;
-      w.kv("duty", span == 0 ? 0.0 : double(t.busy_ns) / double(span));
+      w.kv("duty", t.duty());
       w.kv("dropped", t.dropped);
       w.endObject();
     }
@@ -1236,56 +1240,15 @@ obs::StatusResponse Cluster::handleStatusRequest(const std::string& path) {
   }
 }
 
-// Best-effort post-mortem artifact; never throws (it runs on error paths
-// and in the destructor).
+// Best-effort post-mortem artifact.
 void Cluster::dumpFlightRecorder(const char* reason) const noexcept {
-  try {
-    if (!tracer_.flightRecorder().enabled()) return;
-    const char* dir = std::getenv("GRAVEL_FLIGHTREC_DIR");
-    std::string path = (dir != nullptr && *dir != '\0') ? dir : ".";
-    path += "/gravel_flightrec.json";
-    std::ofstream os(path);
-    if (!os) return;
-    writeFlightRecorder(os, reason);
-  } catch (...) {
-    // Swallow: a failed dump must not mask the error being reported.
-  }
+  if (!tracer_.flightEnabled()) return;
+  dumpArtifact("GRAVEL_FLIGHTREC_DIR", "gravel_flightrec.json",
+               [&](std::ostream& os) { writeFlightRecorder(os, reason); });
 }
 
 void Cluster::writeProfileJson(std::ostream& os) const {
   obs::writeProfilerJson(os, profiler_, obs::Profiler::nowNs());
-}
-
-// Exit artifact for a profiled run:
-// ${GRAVEL_PROFILE_DIR:-.}/gravel_profile.json — the same document /profile
-// serves, taken after every instrumented thread joined. Best-effort (runs
-// in the destructor).
-void Cluster::dumpProfile() const noexcept {
-  try {
-    const char* dir = std::getenv("GRAVEL_PROFILE_DIR");
-    std::string path = (dir != nullptr && *dir != '\0') ? dir : ".";
-    path += "/gravel_profile.json";
-    std::ofstream os(path);
-    if (!os) return;
-    writeProfileJson(os);
-  } catch (...) {
-  }
-}
-
-// Exit artifact mirroring the flight recorder's pattern:
-// ${GRAVEL_TIMESERIES_DIR:-.}/gravel_timeseries.json. Best-effort — it runs
-// in the destructor.
-void Cluster::dumpTimeSeries() const noexcept {
-  try {
-    if (!timeseries_) return;
-    const char* dir = std::getenv("GRAVEL_TIMESERIES_DIR");
-    std::string path = (dir != nullptr && *dir != '\0') ? dir : ".";
-    path += "/gravel_timeseries.json";
-    std::ofstream os(path);
-    if (!os) return;
-    timeseries_->writeJson(os);
-  } catch (...) {
-  }
 }
 
 }  // namespace gravel::rt

@@ -215,8 +215,6 @@ class Cluster {
   void ingestLatency();
   obs::StatusResponse handleStatusRequest(const std::string& path);
   void dumpFlightRecorder(const char* reason) const noexcept;
-  void dumpTimeSeries() const noexcept;
-  void dumpProfile() const noexcept;
 
   ClusterConfig config_;
   obs::Tracer tracer_;        ///< must outlive nodes_/fabric (they hold refs)

@@ -147,7 +147,7 @@ struct ClusterRunStats {
   // fresh cluster per workload (bench/common.hpp does). busy/idle sum every
   // profiled thread's duty split; the lock pair sums the named-mutex
   // contention table — the bench schema's cpu_ns_per_msg and
-  // lock_wait_share columns derive from these.
+  // lock_wait_per_busy columns derive from these.
   std::uint64_t prof_busy_ns = 0;           ///< region self time, busy paths
   std::uint64_t prof_idle_ns = 0;           ///< backoff/spin self time
   std::uint64_t prof_lock_wait_ns = 0;      ///< named-mutex blocking waits

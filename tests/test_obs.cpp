@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/atomic.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/latency.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -248,10 +247,13 @@ TEST(Trace, ClusterRunProducesOrderedLifecycles) {
   // enqueue -> aggregate -> flush -> wire-send -> deliver -> resolve.
   EXPECT_GT(complete, 0u);
 
-  // Stage latencies derive from those lifecycles.
-  const obs::StageLatencies lat = obs::stageLatencies(cluster.tracer());
-  EXPECT_GT(lat.end_to_end.count(), 0u);
-  EXPECT_GE(lat.end_to_end.min(), 0.0);
+  // End-to-end latency over the same sampled events comes from the one
+  // latency path, the lat.* histograms of LatencyAttribution.
+  const MetricsSnapshot snap = cluster.collectMetrics();
+  const obs::MetricValue* e2e = snap.find("lat.e2e_ns");
+  ASSERT_NE(e2e, nullptr);
+  EXPECT_EQ(e2e->kind, MetricKind::kHistogram);
+  EXPECT_GT(e2e->count, 0u);
 }
 
 TEST(Trace, ChromeTraceExportHasFlowsAndCounters) {
@@ -340,7 +342,7 @@ TEST(Trace, ClusterMetricsSnapshotCoversPipeline) {
   EXPECT_TRUE(snap.contains("gpu_queue.depth", "node=0"));
   EXPECT_TRUE(snap.contains("fabric.pending"));
   // Trace-derived end-to-end latency made it into the registry.
-  EXPECT_TRUE(snap.contains("trace.latency_ns.end_to_end"));
+  EXPECT_TRUE(snap.contains("lat.e2e_ns"));
 
   std::ostringstream json;
   cluster.writeMetricsJson(json);
@@ -406,20 +408,19 @@ TEST(FlightRec, RingKeepsLastEventsAndSkipsLiveSlotWhenWrapped) {
 }
 
 TEST(FlightRec, RecorderRegistersThreadsLockFreeAndDumpsJson) {
-  obs::FlightRecorder rec(8);
-  ASSERT_TRUE(rec.enabled());
-  TraceEvent e{};
-  e.stage = Stage::kEnqueue;
-  rec.record(e);
+  TraceConfig cfg;  // sampling off: flight rings only
+  cfg.flightrec_events = 8;
+  Tracer rec(cfg);
+  ASSERT_TRUE(rec.flightEnabled());
+  rec.recordBatch(Stage::kEnqueue, 0, 0, 1, 0);
   rec.nameThread("main-thread");
   rec.nameThread("renamed");  // first name wins
 
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t)
     workers.emplace_back([&rec, t] {
-      TraceEvent w{};
-      w.value = std::uint64_t(t);
-      for (int i = 0; i < 20; ++i) rec.record(w);
+      for (int i = 0; i < 20; ++i)
+        rec.recordBatch(Stage::kFlush, 0, 0, std::uint64_t(t) + 1, 0);
       rec.nameThread("worker-" + std::to_string(t));
     });
   for (auto& w : workers) w.join();
@@ -441,8 +442,12 @@ TEST(FlightRec, RecorderRegistersThreadsLockFreeAndDumpsJson) {
 }
 
 TEST(FlightRec, ZeroCapacityDisablesRecording) {
-  obs::FlightRecorder rec(0);
-  EXPECT_FALSE(rec.enabled());
+  TraceConfig cfg;  // sampling off
+  cfg.flightrec_events = 0;
+  Tracer rec(cfg);
+  EXPECT_FALSE(rec.flightEnabled());
+  EXPECT_FALSE(rec.active());
+  rec.recordBatch(Stage::kEnqueue, 0, 0, 1, 0);
   rec.nameThread("ignored");
   EXPECT_TRUE(rec.threads().empty());
 }
@@ -454,7 +459,7 @@ TEST(FlightRec, TracerRecordsUnsampledEventsToFlightRingOnly) {
   EXPECT_TRUE(t.active());  // flight recorder keeps record sites live
   t.recordStage(Stage::kEnqueue, 0, 1, 2, 99);  // id 0 = unsampled
   EXPECT_TRUE(t.allEvents().empty());           // sampled buffers untouched
-  const auto threads = t.flightRecorder().threads();
+  const auto threads = t.threads();
   ASSERT_EQ(threads.size(), 1u);
   ASSERT_EQ(threads[0]->ring.recorded(), 1u);
   EXPECT_EQ(threads[0]->ring.snapshot()[0].value, 99u);
@@ -515,7 +520,7 @@ TEST(FlightRec, UnsampledTrafficIsRecordedOncePerSlotAndPerBatch) {
   std::uint64_t events[obs::kMessageStages] = {};
   std::uint64_t values[obs::kMessageStages] = {};
   std::uint64_t gpuEnqueues = 0;
-  for (const auto* t : cluster.tracer().flightRecorder().threads()) {
+  for (const auto* t : cluster.tracer().threads()) {
     ASSERT_LE(t->ring.recorded(), t->ring.capacity()) << t->name();
     for (const TraceEvent& e : t->ring.snapshot()) {
       if (e.stage == Stage::kGauge) continue;
@@ -544,6 +549,87 @@ TEST(FlightRec, UnsampledTrafficIsRecordedOncePerSlotAndPerBatch) {
     EXPECT_EQ(values[int(st)], s.net_messages) << obs::stageName(st);
   }
   EXPECT_GT(s.net_batches, 0u);
+}
+
+// --- One per-thread record: registry, naming, concurrent readers ----------
+
+TEST(Trace, OneNameThreadCallNamesPerfettoTrackAndFlightRing) {
+  TraceConfig cfg;
+  cfg.enabled = true;  // sampled buffer and flight ring on the same record
+  Tracer t(cfg);
+  std::thread worker([&t] {
+    t.nameThread("worker.7");
+    t.recordStage(Stage::kEnqueue, 5, 0, 1, 0, 1);
+    t.nameThread("renamed");  // first name wins for both sinks
+  });
+  worker.join();
+
+  const auto threads = t.threads();
+  ASSERT_EQ(threads.size(), 1u);
+  EXPECT_EQ(threads[0]->name(), "worker.7");
+  EXPECT_EQ(threads[0]->sampled.size(), 1u);
+  EXPECT_EQ(threads[0]->ring.recorded(), 1u);
+
+  std::ostringstream perfetto, flight;
+  obs::writeChromeTrace(perfetto, t);
+  obs::writeFlightRecorderJson(flight, t, "unit-test", 0);
+  EXPECT_NE(perfetto.str().find("\"name\":\"worker.7\""), std::string::npos);
+  EXPECT_NE(flight.str().find("\"name\":\"worker.7\""), std::string::npos);
+  EXPECT_EQ(perfetto.str().find("renamed"), std::string::npos);
+  EXPECT_EQ(flight.str().find("renamed"), std::string::npos);
+}
+
+TEST(Trace, ReadersRunConcurrentlyWithRecordingThreads) {
+  // Writers register, name themselves, and record sampled stages and flight
+  // batches while this thread keeps ingesting latencies and exporting both
+  // dumps: no lock is shared, so readers must only ever see published
+  // records and published events (the TSan job runs this test).
+  TraceConfig cfg;
+  cfg.enabled = true;
+  cfg.buffer_events = 2048;  // 6 x 200 sampled events per writer fit
+  cfg.flightrec_events = 64;
+  Tracer t(cfg);
+  constexpr int kWriters = 4;
+  constexpr std::uint32_t kMessages = 200;
+  std::atomic<int> done{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w)
+    writers.emplace_back([&t, &done, w] {
+      t.nameThread("writer." + std::to_string(w));
+      for (std::uint32_t m = 0; m < kMessages; ++m) {
+        const std::uint32_t id = std::uint32_t(w) * kMessages + m + 1;
+        for (int s = 0; s < obs::kMessageStages; ++s)
+          t.recordStage(Stage(s), id, std::uint16_t(w), 0, 0, 1);
+        t.recordBatch(Stage::kFlush, std::uint16_t(w), 0, 1, 1);
+      }
+      done.fetch_add(1, std::memory_order_release);
+    });
+
+  obs::LatencyAttribution lat;
+  std::size_t rounds = 0;
+  bool balanced = true;
+  while (done.load(std::memory_order_acquire) < kWriters || rounds < 3) {
+    lat.ingest(t);
+    std::ostringstream perfetto, flight;
+    obs::writeChromeTrace(perfetto, t);
+    obs::writeFlightRecorderJson(flight, t, "live", t.nowNs());
+    balanced = balanced && jsonBalanced(perfetto.str()) &&
+               jsonBalanced(flight.str());
+    ++rounds;
+  }
+  for (auto& w : writers) w.join();
+  lat.ingest(t);
+
+  EXPECT_TRUE(balanced);
+  EXPECT_EQ(t.threads().size(), std::size_t(kWriters));
+  for (const obs::ThreadTrace* rec : t.threads()) {
+    EXPECT_EQ(rec->name().rfind("writer.", 0), 0u) << rec->name();
+    EXPECT_EQ(rec->ring.recorded(), kMessages * (obs::kMessageStages + 1));
+  }
+  // Every sampled message paired end to end exactly once, however the
+  // ingests interleaved with the writers.
+  EXPECT_EQ(lat.summary().e2e_count, std::uint64_t(kWriters) * kMessages);
+  EXPECT_EQ(t.droppedEvents(), 0u);
 }
 
 // --- GRAVEL_TRACE_SAMPLE ---------------------------------------------------

@@ -121,6 +121,14 @@ TEST(VerifyDfs, BreakerHalfOpenProbe) {
   EXPECT_TRUE(r.exhausted) << "schedule budget too small: " << r.schedules;
 }
 
+// The obs layer's lock-free per-thread registration: two registering and
+// self-naming threads against a concurrent walker.
+TEST(VerifyDfs, ThreadRegistryWalk) {
+  const ExploreResult r = threadRegistryWalk(dfs("dfs_registry", 2, 200000));
+  EXPECT_TRUE(r.ok) << r.report("threadRegistryWalk");
+  EXPECT_TRUE(r.exhausted) << "schedule budget too small: " << r.schedules;
+}
+
 // PCT randomized-priority smoke runs: cheap probabilistic coverage beyond
 // the DFS preemption bound. Seeded deterministically inside explore().
 TEST(VerifyPct, SlotRoutedAggregation) {

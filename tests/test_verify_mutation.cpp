@@ -11,11 +11,11 @@
 // test (re-pin the line number).
 //
 // The matrix was built empirically: every acquire/release site in the
-// queue and reliability headers was weakened one at a time, and the rows
-// below are the ones the bounded scenarios catch. Sites absent from the
-// matrix are redundant-synchronization points (e.g. the second of two
-// paired spin-loop acquires) whose weakening is unobservable in these
-// bounded configurations.
+// queue, reliability and obs thread-registry headers was weakened one at a
+// time, and the rows below are the ones the bounded scenarios catch. Sites
+// absent from the matrix are redundant-synchronization points (e.g. the
+// second of two paired spin-loop acquires) whose weakening is unobservable
+// in these bounded configurations.
 
 #include <gtest/gtest.h>
 
@@ -73,6 +73,12 @@ const MutationRow kMatrix[] = {
      "reliable.hpp", 650, "release"},
     {"reliableQuiescentVisibility", &reliableQuiescentVisibility, 1,
      "reliable.hpp", 314, "acquire"},
+    // Observability thread registry: the CAS push that publishes a record,
+    // the walker's head acquire, and the first-name-wins flag pair.
+    {"threadRegistryWalk", &threadRegistryWalk, 2, "thread_registry.hpp", 135, "release"},
+    {"threadRegistryWalk", &threadRegistryWalk, 2, "thread_registry.hpp", 145, "acquire"},
+    {"threadRegistryWalk", &threadRegistryWalk, 2, "thread_registry.hpp", 57, "release"},
+    {"threadRegistryWalk", &threadRegistryWalk, 2, "thread_registry.hpp", 43, "acquire"},
 };
 // clang-format on
 

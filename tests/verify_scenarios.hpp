@@ -31,6 +31,7 @@
 
 #include "net/fabric.hpp"
 #include "net/reliable.hpp"
+#include "obs/thread_registry.hpp"
 #include "queue/gravel_queue.hpp"
 #include "queue/mpmc_queue.hpp"
 #include "queue/spsc_queue.hpp"
@@ -803,6 +804,63 @@ inline ExploreResult gravelTryAcquireTwoConsumers(const ExploreOptions& opts) {
       for (std::uint64_t i = have.size(); i < 2; ++i)
         if (!st->q.peekSlotFull(std::uint32_t(i)))
           return "an unclaimed message is no longer published";
+      return "";
+    };
+    return spec;
+  });
+}
+
+// ---------------------------------------------------------------------------
+// The observability layer's per-thread registration
+// (obs/thread_registry.hpp, used by the tracer and the profiler): two
+// threads each register a record through local() and name themselves while
+// a third walks the list twice. The walker must only ever see fully
+// constructed records (the registry announces the record as payload, so a
+// walk that is not ordered after the CAS push is a data race) and, for each
+// record, either its "thread-N" default name or its complete published
+// custom name (the name flag orders the string the same way).
+inline ExploreResult threadRegistryWalk(const ExploreOptions& opts) {
+  return verify::explore(opts, [] {
+    struct Record : obs::RegisteredThread {
+      explicit Record(std::uint64_t w) : writer(w) {}
+      std::uint64_t writer;  // plain payload written before publication
+    };
+    struct State {
+      obs::ThreadRegistry<Record> registry;
+      std::string bad;  // walker-private verdict
+    };
+    auto st = std::make_shared<State>();
+
+    RunSpec spec;
+    for (std::uint64_t w = 0; w < 2; ++w)
+      spec.threads.push_back([st, w] {
+        st->registry.local(w).setName("writer." + std::to_string(w));
+      });
+    spec.threads.push_back([st] {
+      for (int pass = 0; pass < 2 && st->bad.empty(); ++pass)
+        for (const Record* r : st->registry.records()) {
+          if (r->writer > 1) {
+            st->bad = "walker saw an unconstructed record";
+            break;
+          }
+          const std::string& name = r->name();
+          if (name != "thread-1" && name != "thread-2" &&
+              name != "writer." + std::to_string(r->writer)) {
+            st->bad = "walker saw a torn or foreign name: '" + name + "'";
+            break;
+          }
+        }
+    });
+    spec.finalCheck = [st]() -> std::string {
+      if (!st->bad.empty()) return st->bad;
+      const auto records = st->registry.records();
+      if (records.size() != 2)
+        return "expected 2 registered records, found " +
+               std::to_string(records.size());
+      for (const Record* r : records)
+        if (r->name() != "writer." + std::to_string(r->writer))
+          return "record of writer " + std::to_string(r->writer) +
+                 " ended with name '" + r->name() + "'";
       return "";
     };
     return spec;
