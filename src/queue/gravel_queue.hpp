@@ -210,9 +210,9 @@ class GravelQueue {
   /// Non-blocking variant of acquireRead for pumping threads (runtime pool):
   /// returns false immediately unless the next slot is published — it spins
   /// neither on new work nor on a producer that reserved a slot and is
-  /// still writing its columns (a work-group reserves before its lanes
-  /// write and meet at the barrier, so that window is long on the SIMT
-  /// engine). Checking before the claim is safe: only a slot's claimant
+  /// still writing its columns (a work-group's reserve fetch-adds before
+  /// it writes the slot's rows, and a producer thread can be descheduled
+  /// in between). Checking before the claim is safe: only a slot's claimant
   /// releases it, so a slot still published when our CAS wins stays
   /// published, and the caller gets acquireRead's post-condition.
   bool tryAcquireRead(SlotRef& out) {

@@ -32,7 +32,7 @@ struct NodeOpStats {
   SingleWriterCounter am_remote;
 };
 
-class NodeRuntime {
+class NodeRuntime : private simt::GroupReserve {
  public:
   NodeRuntime(std::uint32_t id, const ClusterConfig& config,
               net::Fabric& fabric, const AmRegistry& registry,
@@ -145,24 +145,17 @@ class NodeRuntime {
     return false;
   }
 
-  /// The §4.1 work-group-level reservation: leader election by reduce-max
-  /// over active lane ids, per-lane slot columns by prefix-sum, one
-  /// fetch-add (inside acquireWrite) by the leader, broadcast of the slot
-  /// handle, then a group barrier before the leader publishes.
-  /// With `fb`, the same sequence runs over the fbar's members instead of
-  /// the whole group (§5.3).
+  /// The §4.1 work-group-level reservation, as one rendezvous of the
+  /// group's lanes (or, with `fb`, of the fbar's members, §5.3): each lane
+  /// stages its message and arrives once. The lane that completes the
+  /// rendezvous runs reserve() for the whole group: leader election and
+  /// column offsets (the active lanes in lane order), the one fetch-add, the
+  /// slot writes and the publish. DeviceStats count the GPU's four
+  /// collectives (reduce-max, prefix-sum, broadcast, barrier); the host
+  /// engine parks and switches each lane once (`fiber_switches`).
   void enqueueGroup(simt::WorkItem& wi, const NetMessage& m, bool active,
                     simt::FBar* fb);
-
-  static std::uint64_t packRef(const GravelQueue::SlotRef& ref) {
-    return (std::uint64_t(ref.slot) << 48) | ref.round;
-  }
-  static GravelQueue::SlotRef unpackRef(std::uint64_t packed,
-                                        std::uint32_t count) {
-    return GravelQueue::SlotRef{std::uint32_t(packed >> 48),
-                                packed & ((std::uint64_t(1) << 48) - 1),
-                                count};
-  }
+  void reserve(const simt::ReservedGroup& group) override;
 
   std::uint32_t id_;
   obs::Tracer& tracer_;

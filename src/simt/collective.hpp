@@ -18,6 +18,8 @@
 
 namespace gravel::simt {
 
+class GroupReserve;
+
 enum class CollectiveOp : std::uint8_t {
   kBarrier,
   kReduceSum,
@@ -25,6 +27,7 @@ enum class CollectiveOp : std::uint8_t {
   kReduceMin,
   kPrefixSumExclusive,
   kScratchAlloc,  ///< reduce-style arena reservation; see workgroup.hpp
+  kReserve,       ///< work-group queue reserve; see WorkGroupState::reserve
 };
 
 /// Non-interfering identity submitted on behalf of inactive lanes (§5.2).
@@ -47,13 +50,16 @@ class CollectiveSite {
       : submissions_(maxLanes), results_(maxLanes), activeFlags_(maxLanes) {}
 
   /// Records lane `lane`'s arrival. Returns true when this arrival completed
-  /// the instance (caller then invokes complete()).
+  /// the instance (caller then invokes complete()). A kReserve arrival names
+  /// the `reserve` that the completer runs; every lane must name the same.
   bool arrive(std::uint32_t lane, CollectiveOp op, std::uint64_t value,
-              bool active, std::uint32_t expected) {
+              bool active, std::uint32_t expected,
+              GroupReserve* reserve = nullptr) {
     if (arrived_ == 0) {
       op_ = op;
+      reserve_ = reserve;
     } else {
-      GRAVEL_CHECK_MSG(op_ == op,
+      GRAVEL_CHECK_MSG(op_ == op && reserve_ == reserve,
                        "lanes of one work-group reached different "
                        "collective operations (divergent misuse)");
     }
@@ -72,13 +78,16 @@ class CollectiveSite {
   std::uint32_t arrivedCount() const noexcept { return arrived_; }
   std::uint64_t generation() const noexcept { return generation_; }
   CollectiveOp op() const noexcept { return op_; }
+  GroupReserve* reserve() const noexcept { return reserve_; }
 
   /// Computes per-lane results over `lanes` (in lane order, which defines
   /// prefix-sum order), resets the instance, and bumps the generation so
   /// parked lanes resume.
   void complete(const std::vector<std::uint32_t>& lanes) {
     switch (op_) {
+      // A reserve's work is the GroupReserve the completer runs afterwards.
       case CollectiveOp::kBarrier:
+      case CollectiveOp::kReserve:
         break;
       case CollectiveOp::kReduceSum: {
         std::uint64_t sum = 0;
@@ -131,6 +140,7 @@ class CollectiveSite {
   std::uint32_t arrived_ = 0;
   std::uint64_t generation_ = 0;
   CollectiveOp op_ = CollectiveOp::kBarrier;
+  GroupReserve* reserve_ = nullptr;
 };
 
 }  // namespace gravel::simt

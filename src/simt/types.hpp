@@ -33,6 +33,10 @@ struct LaunchConfig {
 /// Every field is written only by the device's scheduler thread; readers
 /// (runStats() while a kernel runs, the cost model after it) may be
 /// concurrent, hence SingleWriterCounter.
+/// The collective_* fields count the collectives a GPU runs: a work-group
+/// reserve is one engine rendezvous but counts as its four (reduce-max,
+/// prefix-sum, broadcast, barrier). fiber_switches is the host engine's own
+/// cost, about one per lane per rendezvous.
 struct DeviceStats {
   SingleWriterCounter kernels_launched;
   SingleWriterCounter workgroups_executed;

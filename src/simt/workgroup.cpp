@@ -14,7 +14,8 @@ WorkGroupState::WorkGroupState(const DeviceConfig& config, DeviceStats& stats,
       fibers_(fibers),
       wgSite_(config.max_wg_size),
       status_(config.max_wg_size, LaneStatus::kFinished),
-      scratch_(config.scratchpad_bytes) {}
+      scratch_(config.scratchpad_bytes),
+      staged_(config.max_wg_size) {}
 
 void WorkGroupState::begin(std::uint64_t wgIndex, std::uint32_t laneCount) {
   GRAVEL_CHECK_MSG(laneCount > 0 && laneCount <= config_.max_wg_size,
@@ -37,42 +38,65 @@ const std::vector<std::uint32_t>& WorkGroupState::liveLanes() const {
   return laneScratch_;
 }
 
+void WorkGroupState::reserve(std::uint32_t lane, const ReserveWords& msg,
+                             bool active, GroupReserve& sink, FBar* fb) {
+  staged_[lane] = msg;
+  collective(lane, CollectiveOp::kReserve, 0, active, fb, &sink);
+}
+
 std::uint64_t WorkGroupState::collective(std::uint32_t lane, CollectiveOp op,
                                          std::uint64_t value, bool active,
-                                         FBar* fb) {
+                                         FBar* fb, GroupReserve* sink) {
   CollectiveSite& site = fb ? fb->site() : wgSite_;
   if (fb) {
     GRAVEL_CHECK_MSG(fb->isMember(lane),
                      "fbar collective from a non-member lane");
   }
-  ++stats_.collective_arrivals;
-  if (active) ++stats_.active_arrivals;
+  // The stats count what a GPU runs: a reserve is four collectives, and
+  // only its first two (reduce-max, prefix-sum) carry the lane's predicate.
+  const std::uint32_t gpuOps = op == CollectiveOp::kReserve ? 4 : 1;
+  stats_.collective_arrivals += gpuOps;
+  stats_.active_arrivals += active ? gpuOps : gpuOps / 2;
 
   const std::uint64_t myGen = site.generation();
   // For the work-group domain every *live* lane participates; the engine is
   // strict (OpenCL-style): a lane that already exited makes further WG-level
   // operations a deadlock, detected in onLaneFinish().
   const std::uint32_t expected = fb ? fb->memberCount() : liveCount_;
-  const bool last = site.arrive(lane, op, value, active, expected);
-  if (last) {
-    const std::vector<std::uint32_t>& domain =
-        fb ? fb->memberLanes() : liveLanes();
-    site.complete(domain);
-    if (op == CollectiveOp::kScratchAlloc) {
-      const std::uint64_t bytes = site.resultFor(lane);  // reduced max size
-      GRAVEL_CHECK_MSG(scratchOffset_ + bytes <= scratch_.size(),
-                       "scratchpad overflow");
-      site.overrideResults(domain, scratchOffset_);
-      scratchOffset_ += bytes;
-      stats_.scratchpad_high_water = std::max<std::uint64_t>(
-          stats_.scratchpad_high_water, scratchOffset_);
-    }
-    ++stats_.collective_ops;
-    wake(domain);
-  } else {
+  if (!site.arrive(lane, op, value, active, expected, sink))
     parkUntil(lane, site, myGen);
-  }
+  else if (fb)
+    completeSite(site, fb->memberLanes());
+  else
+    completeSite(site, liveLanes());  // no copy of the live-lane buffer
   return site.resultFor(lane);
+}
+
+void WorkGroupState::completeSite(CollectiveSite& site,
+                                  const std::vector<std::uint32_t>& domain) {
+  const CollectiveOp op = site.op();
+  GroupReserve* sink = site.reserve();
+  // Complete before the reserve: should it yield on a full queue, a lane
+  // that joins the fbar meanwhile starts a new instance instead of
+  // over-filling this one. The domain stays parked until the wake below.
+  site.complete(domain);
+  if (op == CollectiveOp::kScratchAlloc) {
+    const std::uint64_t bytes = site.resultFor(domain.front());  // max size
+    GRAVEL_CHECK_MSG(scratchOffset_ + bytes <= scratch_.size(),
+                     "scratchpad overflow");
+    site.overrideResults(domain, scratchOffset_);
+    scratchOffset_ += bytes;
+    stats_.scratchpad_high_water = std::max<std::uint64_t>(
+        stats_.scratchpad_high_water, scratchOffset_);
+  }
+  if (op == CollectiveOp::kReserve) {
+    std::uint32_t count = 0;
+    for (auto l : domain) count += site.wasActive(l);
+    if (count > 0) sink->reserve(ReservedGroup{site, domain, staged_, count});
+  }
+  stats_.collective_ops += op == CollectiveOp::kReserve ? 4 : 1;  // as above
+  for (auto l : domain)
+    if (status_[l] == LaneStatus::kParked) status_[l] = LaneStatus::kRunnable;
 }
 
 void WorkGroupState::parkUntil(std::uint32_t lane, const CollectiveSite& site,
@@ -94,11 +118,6 @@ void WorkGroupState::parkUntil(std::uint32_t lane, const CollectiveSite& site,
     }
   }
   status_[lane] = LaneStatus::kRunnable;
-}
-
-void WorkGroupState::wake(const std::vector<std::uint32_t>& lanes) {
-  for (auto l : lanes)
-    if (status_[l] == LaneStatus::kParked) status_[l] = LaneStatus::kRunnable;
 }
 
 std::byte* WorkGroupState::scratchAlloc(std::uint32_t lane,
@@ -135,12 +154,8 @@ void WorkGroupState::fbarLeave(std::uint32_t lane, FBar& fb) {
   // (Figure 10c: lanes leave when their edge list is exhausted while
   // siblings still synchronize each iteration).
   if (fb.site().inProgress() && fb.memberCount_ > 0 &&
-      fb.site().arrivedCount() == fb.memberCount_) {
-    const std::vector<std::uint32_t>& domain = fb.memberLanes();
-    fb.site().complete(domain);
-    ++stats_.collective_ops;
-    wake(domain);
-  }
+      fb.site().arrivedCount() == fb.memberCount_)
+    completeSite(fb.site(), fb.memberLanes());
   GRAVEL_CHECK_MSG(fb.memberCount_ > 0 || !fb.site().inProgress(),
                    "last lane left an fbar with a collective in flight");
 }
@@ -159,12 +174,8 @@ void WorkGroupState::onLaneFinish(std::uint32_t lane) {
     // §5.3 work-group-granularity control flow: the exited lane no longer
     // participates, which may complete the in-flight operation for the
     // remaining live lanes.
-    if (liveCount_ > 0 && wgSite_.arrivedCount() == liveCount_) {
-      const std::vector<std::uint32_t>& domain = liveLanes();
-      wgSite_.complete(domain);
-      ++stats_.collective_ops;
-      wake(domain);
-    }
+    if (liveCount_ > 0 && wgSite_.arrivedCount() == liveCount_)
+      completeSite(wgSite_, liveLanes());
   }
   for (auto& [id, fb] : fbars_) {
     if (fb->isMember(lane)) {

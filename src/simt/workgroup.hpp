@@ -3,6 +3,7 @@
 // objects (paper §5.3 / HSA PRM).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -15,6 +16,37 @@ namespace gravel::simt {
 
 class FiberPool;
 class WorkGroupState;
+
+/// One queue message's words, as a lane stages it for a work-group reserve.
+using ReserveWords = std::array<std::uint64_t, 4>;
+
+/// The messages a completed reserve rendezvous gathered: the active lanes'
+/// staged words in lane order, which is their slot-column order (§4.1).
+struct ReservedGroup {
+  const CollectiveSite& site;
+  const std::vector<std::uint32_t>& domain;
+  const std::vector<ReserveWords>& staged;
+  std::uint32_t count;  ///< active lanes, at least 1
+
+  /// Calls `f(column, words)` for every active lane, in column order.
+  template <typename F>
+  void forEach(F&& f) const {
+    std::uint32_t column = 0;
+    for (auto l : domain)
+      if (site.wasActive(l)) f(column++, staged[l]);
+  }
+};
+
+/// The group-wide half of a work-group reserve (paper §4.1): what the lane
+/// that completes a kReserve rendezvous does, once, on behalf of the whole
+/// group before the group wakes. Not called when no lane was active.
+class GroupReserve {
+ public:
+  virtual void reserve(const ReservedGroup& group) = 0;
+
+ protected:
+  ~GroupReserve() = default;
+};
 
 /// Scheduling status of one lane's fiber.
 enum class LaneStatus : std::uint8_t {
@@ -68,8 +100,6 @@ class WorkGroupState {
 
   std::uint64_t wgIndex() const noexcept { return wgIndex_; }
   std::uint32_t laneCount() const noexcept { return laneCount_; }
-  LaneStatus status(std::uint32_t lane) const { return status_[lane]; }
-  void setStatus(std::uint32_t lane, LaneStatus s) { status_[lane] = s; }
 
   /// First runnable lane at or after `from`, or laneCount() when there is
   /// none: the order of the scheduler's pass, which lane handoff follows.
@@ -81,16 +111,24 @@ class WorkGroupState {
   /// Executes one work-group-level (or fbar-level when `fb != nullptr`)
   /// collective from lane `lane`. Parks the lane until all participants
   /// arrive; returns the lane's result (§5.2 semantics for inactive lanes).
+  /// `sink` is the group reserve a kReserve instance runs (see reserve()).
   std::uint64_t collective(std::uint32_t lane, CollectiveOp op,
                            std::uint64_t value, bool active,
-                           FBar* fb = nullptr);
+                           FBar* fb = nullptr, GroupReserve* sink = nullptr);
+
+  /// The §4.1 work-group reserve as one rendezvous: lane `lane` stages `msg`
+  /// and arrives once; whichever path completes the rendezvous (the last
+  /// arrival, or a lane that exits or leaves the fbar) runs `sink` over the
+  /// active lanes' messages and then wakes the group. DeviceStats count it
+  /// as the four GPU collectives it stands for: reduce-max and prefix-sum
+  /// under the lane's predicate, a broadcast and a barrier over all lanes.
+  void reserve(std::uint32_t lane, const ReserveWords& msg, bool active,
+               GroupReserve& sink, FBar* fb = nullptr);
 
   /// Reserves `bytes` of the work-group's scratchpad. Collective: all live
   /// lanes must call with the same size; all receive the same arena offset.
   /// Throws when the scratchpad (DeviceConfig::scratchpad_bytes) overflows.
   std::byte* scratchAlloc(std::uint32_t lane, std::uint64_t bytes);
-
-  std::uint64_t scratchUsed() const noexcept { return scratchOffset_; }
 
   /// Returns the fbar with the given small id, creating it on first use.
   /// All lanes that pass the same id share one object (Figure 10c's pattern
@@ -107,9 +145,12 @@ class WorkGroupState {
   void onLaneFinish(std::uint32_t lane);
 
  private:
+  /// Completes `site`'s instance over `domain`: results, then the scratch
+  /// offset or the pending reserve, then the counts, then the wake-up.
+  void completeSite(CollectiveSite& site,
+                    const std::vector<std::uint32_t>& domain);
   void parkUntil(std::uint32_t lane, const CollectiveSite& site,
                  std::uint64_t generation);
-  void wake(const std::vector<std::uint32_t>& lanes);
   const std::vector<std::uint32_t>& liveLanes() const;
 
   const DeviceConfig& config_;
@@ -118,6 +159,7 @@ class WorkGroupState {
   CollectiveSite wgSite_;
   std::vector<LaneStatus> status_;
   std::vector<std::byte> scratch_;
+  std::vector<ReserveWords> staged_;  ///< per lane; a lane is in one rendezvous
   std::map<std::uint32_t, std::unique_ptr<FBar>> fbars_;
   std::uint64_t wgIndex_ = 0;
   std::uint32_t laneCount_ = 0;

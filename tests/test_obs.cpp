@@ -224,6 +224,17 @@ void runTracedWorkload(rt::Cluster& cluster) {
   });
 }
 
+/// A short run can end before the monitor thread's first tick, which is
+/// where it takes its first gauge sample (depth histograms and counter
+/// tracks). Waits, bounded, until that tick has completed.
+void awaitFirstGaugeSample(rt::Cluster& cluster) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (cluster.collectMetrics().number("monitor.ticks") < 1.0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
 TEST(Trace, ClusterRunProducesOrderedLifecycles) {
   rt::Cluster cluster(tracedConfig());
   runTracedWorkload(cluster);
@@ -259,6 +270,7 @@ TEST(Trace, ClusterRunProducesOrderedLifecycles) {
 TEST(Trace, ChromeTraceExportHasFlowsAndCounters) {
   rt::Cluster cluster(tracedConfig());
   runTracedWorkload(cluster);
+  awaitFirstGaugeSample(cluster);
 
   std::ostringstream os;
   cluster.writeTrace(os);
@@ -323,6 +335,7 @@ TEST(Trace, SurvivesFaultyWireWithReliability) {
 TEST(Trace, ClusterMetricsSnapshotCoversPipeline) {
   rt::Cluster cluster(tracedConfig());
   runTracedWorkload(cluster);
+  awaitFirstGaugeSample(cluster);
   const MetricsSnapshot snap = cluster.collectMetrics();
 
   // 2 nodes x 128 work-items, every op a shmemInc.

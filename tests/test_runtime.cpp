@@ -9,6 +9,7 @@
 #include <cstring>
 #include <iterator>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -411,6 +412,197 @@ TEST(Cluster, MixedOperationKindsInterleave) {
   EXPECT_EQ(cluster.node(0).heap().loadU64(puts.at(0)), 11u);
   EXPECT_EQ(cluster.node(0).heap().loadU64(counters.at(3)), 11u);
   EXPECT_EQ(cluster.node(0).heap().loadU64(counters.at(1)), 50u);
+}
+
+// --- the work-group reserve (paper §4.1) --------------------------------
+// A node on its own: its aggregator is never pumped, so every slot a kernel
+// reserves stays in the GPU queue for the test to read back.
+struct LoneNode {
+  explicit LoneNode(bool reconvergence = false)
+      : config(loneConfig(reconvergence)),
+        fabric(config.nodes),
+        tracer(config.obs),
+        node(0, config, fabric, registry, tracer) {}
+
+  static ClusterConfig loneConfig(bool reconvergence) {
+    ClusterConfig c = smallCluster(2);
+    c.device.wg_reconvergence = reconvergence;
+    return c;
+  }
+
+  /// Claims every published slot; each as its messages in column order.
+  std::vector<std::vector<NetMessage>> drain() {
+    std::vector<std::vector<NetMessage>> slots;
+    GravelQueue::SlotRef ref;
+    while (node.queue().tryAcquireRead(ref)) {
+      slots.emplace_back(ref.count);
+      node.queue().copySlot(ref, slots.back().data());
+      node.queue().release(ref);
+    }
+    return slots;
+  }
+
+  ClusterConfig config;
+  net::PerfectFabric fabric;
+  AmRegistry registry;
+  obs::Tracer tracer;
+  NodeRuntime node;
+};
+
+/// The heap offsets the slot's columns carry, in column order (the kernels
+/// below send each lane's global id, or an id derived from it, as offset).
+std::vector<std::uint64_t> columnIds(const std::vector<NetMessage>& slot) {
+  std::vector<std::uint64_t> ids;
+  for (const NetMessage& m : slot) ids.push_back(m.addr / 8);
+  return ids;
+}
+
+void expectCounts(const simt::DeviceStats& st, std::uint64_t ops,
+                  std::uint64_t arrivals, std::uint64_t active) {
+  EXPECT_EQ(st.collective_ops, ops);
+  EXPECT_EQ(st.collective_arrivals, arrivals);
+  EXPECT_EQ(st.active_arrivals, active);
+}
+
+TEST(Reserve, FullGroupFillsOneSlotInLaneOrder) {
+  LoneNode n;
+  n.node.device().launch({16, 16}, [&](simt::WorkItem& wi) {
+    n.node.shmemInc(wi, 1, wi.globalId() * 8);
+  });
+  const auto slots = n.drain();
+  ASSERT_EQ(slots.size(), 1u);
+  std::vector<std::uint64_t> lanes(16);
+  std::iota(lanes.begin(), lanes.end(), 0);
+  EXPECT_EQ(columnIds(slots[0]), lanes);
+  for (const NetMessage& m : slots[0]) {
+    EXPECT_EQ(m.command(), Command::kAtomicInc);
+    EXPECT_EQ(m.dest, 1u);
+  }
+  expectCounts(n.node.device().stats(), 4, 64, 64);
+}
+
+TEST(Reserve, PartialTrailingGroupReservesItsOwnSlot) {
+  LoneNode n;
+  n.node.device().launch({20, 16}, [&](simt::WorkItem& wi) {
+    n.node.shmemPut(wi, 1, wi.globalId() * 8, wi.globalId() + 100);
+  });
+  const auto slots = n.drain();
+  ASSERT_EQ(slots.size(), 2u);
+  ASSERT_EQ(slots[0].size(), 16u);
+  EXPECT_EQ(columnIds(slots[1]), (std::vector<std::uint64_t>{16, 17, 18, 19}));
+  for (const auto& slot : slots)
+    for (const NetMessage& m : slot) EXPECT_EQ(m.value, m.addr / 8 + 100);
+  expectCounts(n.node.device().stats(), 8, 80, 80);
+}
+
+TEST(Reserve, PredicatedGroupPacksActiveLanesInLaneOrder) {
+  LoneNode n;
+  n.node.device().launch({16, 16}, [&](simt::WorkItem& wi) {
+    n.node.shmemInc(wi, 1, wi.globalId() * 8, wi.localId() % 3 == 0);
+  });
+  const auto slots = n.drain();
+  ASSERT_EQ(slots.size(), 1u);
+  EXPECT_EQ(columnIds(slots[0]),
+            (std::vector<std::uint64_t>{0, 3, 6, 9, 12, 15}));
+  // Inactive lanes arrive inactive at the reduce-max and the prefix-sum and
+  // active at the broadcast and the barrier: 6 * 4 + 10 * 2.
+  expectCounts(n.node.device().stats(), 4, 64, 44);
+}
+
+TEST(Reserve, AllInactiveGroupReservesAndPublishesNothing) {
+  LoneNode n;
+  n.node.device().launch({16, 16}, [&](simt::WorkItem& wi) {
+    n.node.shmemInc(wi, 1, 0, /*active=*/false);
+  });
+  EXPECT_EQ(n.node.queue().reservedCount(), 0u);
+  EXPECT_TRUE(n.drain().empty());
+  expectCounts(n.node.device().stats(), 4, 64, 32);
+}
+
+// The even lanes reserve through an fbar, twice, except lane 12, which
+// leaves after one. In the second round lanes 14, 0, 2, ..., 10 have
+// arrived when lane 12 leaves, so its fbarLeave completes the rendezvous
+// and must publish the slot.
+TEST(Reserve, FbarSubsetReservesAndLeaveCompletesTheRendezvous) {
+  LoneNode n;
+  n.node.device().launch({16, 16}, [&](simt::WorkItem& wi) {
+    const std::uint32_t l = wi.localId();
+    if (l % 2 != 0) return;
+    auto& fb = wi.fbar();
+    wi.fbarJoin(fb);
+    const int rounds = l == 12 ? 1 : 2;
+    for (int r = 0; r < rounds; ++r)
+      n.node.shmemInc(wi, 1, (r * 16 + l) * 8, true, &fb);
+    wi.fbarLeave(fb);
+  });
+  const auto slots = n.drain();
+  ASSERT_EQ(slots.size(), 2u);
+  EXPECT_EQ(columnIds(slots[0]),
+            (std::vector<std::uint64_t>{0, 2, 4, 6, 8, 10, 12, 14}));
+  EXPECT_EQ(columnIds(slots[1]),
+            (std::vector<std::uint64_t>{16, 18, 20, 22, 24, 26, 30}));
+  expectCounts(n.node.device().stats(), 8, 60, 60);
+}
+
+// Under §5.3 reconvergence lanes 2, 6, 10 and 14 exit after one reserve.
+// In the second round every other live lane has arrived when lane 14
+// exits, so onLaneFinish completes the rendezvous and must publish.
+TEST(Reserve, ReconvergedExitsCompleteTheRendezvousAndPublish) {
+  LoneNode n(/*reconvergence=*/true);
+  n.node.device().launch({16, 16}, [&](simt::WorkItem& wi) {
+    const std::uint32_t l = wi.localId();
+    const int rounds = l % 4 == 2 ? 1 : 2;
+    for (int r = 0; r < rounds; ++r)
+      n.node.shmemInc(wi, 1, (r * 16 + l) * 8);
+  });
+  const auto slots = n.drain();
+  ASSERT_EQ(slots.size(), 2u);
+  ASSERT_EQ(slots[0].size(), 16u);
+  EXPECT_EQ(columnIds(slots[1]),
+            (std::vector<std::uint64_t>{16, 17, 19, 20, 21, 23, 24, 25, 27,
+                                        28, 29, 31}));
+  expectCounts(n.node.device().stats(), 8, 112, 112);
+}
+
+// A reserve is its own collective operation: meeting any other one, in
+// either order, is divergent misuse.
+TEST(Reserve, MeetingAnotherCollectiveThrows) {
+  for (const bool barrierFirst : {true, false}) {
+    LoneNode n;
+    try {
+      n.node.device().launch({4, 4}, [&](simt::WorkItem& wi) {
+        if ((wi.localId() == 0) == barrierFirst)
+          wi.wgBarrier();
+        else
+          n.node.shmemInc(wi, 1, 0);
+      });
+      ADD_FAILURE() << "mixed reserve and barrier did not throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("different collective operations"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// The DES-facing counts bench_fig6_wg_sync prints: every message costs four
+// collective arrivals (reduce-max, prefix-sum, broadcast, barrier), and a
+// full group of w lanes costs one producer and one consumer RMW per w
+// messages.
+TEST(Reserve, Fig6CountsPerMessage) {
+  for (const std::uint32_t wavefronts : {1u, 2u, 4u}) {
+    ClusterConfig c = smallCluster(1, 256, 64);
+    Cluster cluster(c);
+    auto sink = cluster.alloc<std::uint64_t>(16);
+    const std::uint32_t wg = wavefronts * 64;
+    const std::uint64_t msgs = 4 * wg;
+    cluster.launchAll(msgs, wg, [&](std::uint32_t, simt::WorkItem& wi) {
+      cluster.node(0).shmemInc(wi, 0, sink.at(wi.globalId() % 16));
+    });
+    auto& node = cluster.node(0);
+    EXPECT_EQ(node.device().stats().collective_arrivals, 4 * msgs) << wg;
+    EXPECT_EQ(node.queue().atomicRmwCount() * wg, 2 * msgs) << wg;
+  }
 }
 
 // Property sweep: random mixes of destinations/activity must always deliver

@@ -355,6 +355,26 @@ TEST(Device, ScratchpadResetBetweenGroups) {
   EXPECT_EQ(dev.stats().scratchpad_high_water, 2048u);
 }
 
+// Under §5.3 reconvergence the lane that exits completes the allocation
+// its siblings wait at; they must still get arena offsets, not the size.
+TEST(Device, ReconvergedExitCompletesScratchAllocWithAnOffset) {
+  DeviceConfig c = smallConfig(4, 4);
+  c.wg_reconvergence = true;
+  Device dev(c);
+  std::vector<std::byte*> first(3), second(3);
+  dev.launch({4, 4}, [&](WorkItem& wi) {
+    const std::uint32_t l = wi.localId();
+    if (l == 3) return;  // lanes 0..2 are parked at the first allocation
+    first[l] = wi.scratchAlloc<std::byte>(16);
+    second[l] = wi.scratchAlloc<std::byte>(16);
+  });
+  for (std::uint32_t l = 0; l < 3; ++l) {
+    EXPECT_EQ(first[l], first[0]);
+    EXPECT_EQ(second[l], first[0] + 16);
+  }
+  EXPECT_EQ(dev.stats().scratchpad_high_water, 32u);
+}
+
 // §5.3 fine-grain barriers: lanes leave as their (unequal) work runs out;
 // remaining members keep synchronizing. This is Figure 10c / Figure 11d.
 TEST(Device, FbarSupportsShrinkingMembership) {
